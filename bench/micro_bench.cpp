@@ -4,31 +4,16 @@
 // performance envelope — the fig4 grid dispatches hundreds of millions of
 // events, so regressions here directly inflate experiment wall time.
 //
-// --bench-json FILE additionally replays a canonical set of throughput
-// points and writes events/s and wall time per point as a JSON artifact
-// (BENCH_micro.json in CI, checked against the tracked baseline by
-// tools/check_bench.py) so throughput regressions show up in the artifact
-// history, not just in local runs. Grid points time the cluster replay
-// only (the trace is generated outside the timer — trace generation has
-// its own benchmark and would otherwise dominate small runs); the
-// engine-1m point times the raw event engine alone.
+// These are for local profiling. The end-to-end and per-layer numbers a
+// perf change is judged by come from the benchmark under perf/ (see
+// perf/README.md): its probes time the same engine, node and RSRC paths.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "core/cluster.hpp"
 #include "core/experiment.hpp"
-#include "core/policy.hpp"
-#include "harness/artifacts.hpp"
 #include "core/rsrc.hpp"
 #include "model/optimize.hpp"
-#include "obs/span.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "trace/generator.hpp"
@@ -145,158 +130,6 @@ void BM_EndToEndClusterRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndClusterRun);
 
-/// One canonical throughput point: the M/S cluster replay, timed
-/// wall-clock. The trace is generated before the timer starts, so the
-/// number measures the simulation hot path (event engine, node state
-/// machines, RSRC dispatch) rather than trace synthesis.
-harness::ResultRow throughput_row(const std::string& id, int p,
-                                  double lambda, double duration_s,
-                                  bool spans = false, bool hedge = false) {
-  core::ExperimentSpec spec;
-  spec.profile = trace::ksu_profile();
-  spec.p = p;
-  spec.lambda = lambda;
-  spec.duration_s = duration_s;
-  spec.warmup_s = 0.5;
-  spec.kind = core::SchedulerKind::kMs;
-
-  // Mirrors run_experiment's configuration for this spec (fault/overload/
-  // net/ctrl layers off, m from Theorem 1).
-  const model::Workload analytic = core::analytic_workload(spec);
-  core::ClusterConfig config;
-  config.p = spec.p;
-  config.os = spec.os;
-  config.seed = spec.seed;
-  config.warmup = from_seconds(spec.warmup_s);
-  config.load_sample_period = from_seconds(spec.load_sample_period_s);
-  config.m = std::clamp(core::masters_from_theorem(analytic), 1, spec.p);
-  config.reservation.initial_r = spec.r;
-  config.reservation.initial_a = analytic.a;
-  config.initial_dynamic_demand_s = 1.0 / (spec.r * spec.mu_h);
-  config.use_dispatch_feedback = spec.use_dispatch_feedback;
-  config.hedge.enabled = hedge;
-  core::MsOptions ms_options;
-  ms_options.rsrc_tolerance = spec.rsrc_tolerance;
-
-  const trace::Trace trace = core::generate_trace(spec);
-
-  // Best-of-3: replays are deterministic, so repeats only differ by timer
-  // noise — the minimum wall is the least-perturbed measurement.
-  core::RunResult run;
-  double wall_s = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    // Each rep gets its own recorder: the span pools must start empty for
-    // the replay to be the same work every time.
-    obs::SpanRecorder recorder;
-    if (spans) config.obs.spans = &recorder;
-    const auto start = std::chrono::steady_clock::now();
-    core::ClusterSim cluster(config, core::make_ms(ms_options));
-    run = cluster.run(trace);
-    const double rep_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    if (rep == 0 || rep_wall < wall_s) wall_s = rep_wall;
-  }
-  harness::ResultRow row;
-  row.set("point", id)
-      .set("p", p)
-      .set("lambda", lambda)
-      .set("sim_s", duration_s)
-      .set("events", static_cast<unsigned long long>(run.events))
-      .set("wall_s", wall_s)
-      .set("events_per_s",
-           wall_s > 0.0 ? static_cast<double>(run.events) / wall_s : 0.0)
-      .set("stretch", run.metrics.stretch);
-  return row;
-}
-
-/// Raw event-engine throughput: schedule + drain one million closures at
-/// xorshift-scattered times across one simulated second. No nodes, no
-/// dispatch — this point isolates the event calendar itself.
-harness::ResultRow engine_throughput_row() {
-  constexpr std::uint64_t kTotal = 1'000'000;
-  double wall_s = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    sim::Engine engine;
-    std::uint64_t done = 0;
-    std::uint64_t x = 0x2545F4914F6CDD1Dull;
-    for (std::uint64_t i = 0; i < kTotal; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      engine.schedule_at(static_cast<Time>(x % 1'000'000'000ull),
-                         [&done] { ++done; });
-    }
-    engine.run();
-    const double rep_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    if (done != kTotal) throw std::runtime_error("engine point lost events");
-    if (rep == 0 || rep_wall < wall_s) wall_s = rep_wall;
-  }
-  harness::ResultRow row;
-  row.set("point", "engine-1m")
-      .set("p", 0)
-      .set("lambda", 0.0)
-      .set("sim_s", 1.0)
-      .set("events", static_cast<unsigned long long>(kTotal))
-      .set("wall_s", wall_s)
-      .set("events_per_s",
-           wall_s > 0.0 ? static_cast<double>(kTotal) / wall_s : 0.0)
-      .set("stretch", 0.0);
-  return row;
-}
-
-void write_bench_json(const std::string& path) {
-  std::vector<harness::ResultRow> rows;
-  rows.push_back(engine_throughput_row());
-  rows.push_back(throughput_row("ms-p8-l300", 8, 300.0, 2.0));
-  rows.push_back(throughput_row("ms-p32-l1000", 32, 1000.0, 2.0));
-  // Same replay with span tracing live: the gap to ms-p8-l300 is the
-  // all-in cost of the request-causal span instrumentation.
-  rows.push_back(throughput_row("ms-p8-l300-spans", 8, 300.0, 2.0,
-                                /*spans=*/true));
-  // Same replay with hedged dispatch armed on a healthy cluster: the gap
-  // to ms-p8-l300 is the cost of the hedge machinery itself (per-dispatch
-  // timer arming, trailing stretch quantiles, cancellation plumbing) when
-  // almost nothing is slow enough to actually hedge.
-  rows.push_back(throughput_row("ms-p8-l300-hedge", 8, 300.0, 2.0,
-                                /*spans=*/false, /*hedge=*/true));
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  harness::write_json(out, rows);
-  std::printf("wrote %s (%zu throughput points)\n", path.c_str(),
-              rows.size());
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strip --bench-json FILE before google-benchmark sees the argv; every
-  // other flag passes through (--benchmark_filter etc.).
-  std::string bench_json;
-  std::vector<char*> passthrough;
-  passthrough.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      bench_json = argv[++i];
-      continue;
-    }
-    if (std::strncmp(argv[i], "--bench-json=", 13) == 0) {
-      bench_json = argv[i] + 13;
-      continue;
-    }
-    passthrough.push_back(argv[i]);
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!bench_json.empty()) write_bench_json(bench_json);
-  return 0;
-}
+BENCHMARK_MAIN();

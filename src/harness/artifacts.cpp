@@ -1,24 +1,106 @@
 #include "harness/artifacts.hpp"
 
 #include <cmath>
-#include <cstdio>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "util/csv.hpp"
-
 namespace wsched::harness {
 
-std::string format_number(double value) {
-  if (std::isfinite(value) && value == std::llround(value) &&
-      std::abs(value) < 1e15) {
-    return std::to_string(std::llround(value));
+// --- the formatter --------------------------------------------------------
+
+void append_number(std::string& out, double value) {
+  // The range test comes first: NaN, ±inf and huge values never reach the
+  // integral conversion.
+  if (std::abs(value) < 1e15 && value == std::trunc(value)) {
+    append_int(out, static_cast<long long>(value));
+  } else {
+    append_general(out, value);
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-  return buffer;
 }
+
+void append_general(std::string& out, double value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value,
+                                 std::chars_format::general, 10);
+  out.append(buf, res.ptr);
+}
+
+void append_fixed4(std::string& out, double value) {
+  char buf[320];  // DBL_MAX has 309 integer digits
+  const auto res = std::to_chars(buf, buf + sizeof buf, value,
+                                 std::chars_format::fixed, 4);
+  out.append(buf, res.ptr);
+}
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t plain = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto ch = static_cast<unsigned char>(text[i]);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out.append(text.data() + plain, i - plain);
+    plain = i + 1;
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[ch >> 4], kHex[ch & 15]};
+        out.append(esc, sizeof esc);
+      }
+    }
+  }
+  out.append(text.data() + plain, text.size() - plain);
+}
+
+void append_csv_field(std::string& out, std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+    out.append(field);
+    return;
+  }
+  out += '"';
+  for (char ch : field) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  out += '"';
+}
+
+ChunkedWriter::ChunkedWriter(std::ostream& out) : out_(out) {}
+
+ChunkedWriter::~ChunkedWriter() { flush(); }
+
+void ChunkedWriter::flush() {
+  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
+}
+
+void write_artifact_file(const std::string& path, const std::string& what,
+                         const std::function<void(std::ostream&)>& write) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open " + what + " " + path);
+  write(out);
+  out.close();
+  if (!out) throw std::runtime_error("failed writing " + what + " " + path);
+}
+
+std::string format_number(double value) {
+  std::string out;
+  append_number(out, value);
+  return out;
+}
+
+std::string json_escape(const std::string& text) {
+  std::string out;
+  append_json_escaped(out, text);
+  return out;
+}
+
+// --- result rows ----------------------------------------------------------
 
 ResultRow& ResultRow::set_field(std::string name, std::string text,
                                 bool numeric) {
@@ -105,64 +187,54 @@ void check_schema(const std::vector<ResultRow>& rows) {
 void write_csv(std::ostream& out, const std::vector<ResultRow>& rows) {
   check_schema(rows);
   if (rows.empty()) return;
-  std::vector<std::string> header;
-  header.reserve(rows.front().fields().size());
-  for (const Field& field : rows.front().fields()) header.push_back(field.name);
-  write_csv_row(out, header);
-  std::vector<std::string> cells(header.size());
+  ChunkedWriter writer(out);
+  std::string& buf = writer.buf();
+  const auto& head = rows.front().fields();
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    if (i) buf += ',';
+    append_csv_field(buf, head[i].name);
+  }
+  buf += '\n';
   for (const ResultRow& row : rows) {
-    for (std::size_t i = 0; i < row.fields().size(); ++i)
-      cells[i] = row.fields()[i].text;
-    write_csv_row(out, cells);
-  }
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out += buffer;
-        } else {
-          out.push_back(ch);
-        }
+    for (std::size_t i = 0; i < row.fields().size(); ++i) {
+      if (i) buf += ',';
+      append_csv_field(buf, row.fields()[i].text);
     }
+    buf += '\n';
+    writer.poll();
   }
-  return out;
 }
 
 void write_json(std::ostream& out, const std::vector<ResultRow>& rows) {
   check_schema(rows);
-  out << "[";
+  ChunkedWriter writer(out);
+  std::string& buf = writer.buf();
+  buf += '[';
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    out << (r == 0 ? "\n" : ",\n") << "{";
+    buf += r == 0 ? "\n{" : ",\n{";
     const auto& fields = rows[r].fields();
     for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i) out << ",";
-      out << '"' << json_escape(fields[i].name) << "\":";
+      if (i) buf += ',';
+      buf += '"';
+      append_json_escaped(buf, fields[i].name);
+      buf += "\":";
       const std::string& text = fields[i].text;
       if (!fields[i].numeric) {
-        out << '"' << json_escape(text) << '"';
+        buf += '"';
+        append_json_escaped(buf, text);
+        buf += '"';
       } else if (text == "inf" || text == "-inf" || text == "nan" ||
                  text == "-nan") {
         // Non-finite values are not valid JSON numbers.
-        out << "null";
+        buf += "null";
       } else {
-        out << text;
+        buf += text;
       }
     }
-    out << "}";
+    buf += '}';
+    writer.poll();
   }
-  out << "\n]\n";
+  buf += "\n]\n";
 }
 
 std::string csv_string(const std::vector<ResultRow>& rows) {

@@ -1,4 +1,5 @@
-// Unified run artifacts for experiment sweeps.
+// Unified run artifacts for experiment sweeps, and the one formatter every
+// artifact in the repo is written through.
 //
 // Every sweep produces an ordered list of ResultRows sharing one schema:
 // the grid-point coordinates first, then whatever the evaluation measured
@@ -8,13 +9,80 @@
 // identical rows always produce identical bytes — which is what lets the
 // harness promise that a parallel sweep's artifacts are bit-identical to a
 // serial run's.
+//
+// The append_* functions below are the only number formatting, JSON
+// escaping and CSV quoting in the library: the sweep writers, the obs
+// writers (Chrome trace, probe CSV, decision log, span exemplars) and the
+// chaos-schedule JSON all call them, appending straight into a byte
+// buffer that a ChunkedWriter hands to the stream in fixed chunks.
 #pragma once
 
+#include <charconv>
+#include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wsched::harness {
+
+/// Appends `value` under the canonical number rule: integral values with
+/// magnitude below 1e15 print as integers ("-0" prints "0"), everything
+/// else (fractions, huge values, NaN, ±inf) as printf's %.10g.
+void append_number(std::string& out, double value);
+
+/// printf's %.10g, with no integral shortcut.
+void append_general(std::string& out, double value);
+
+/// printf's %.4f (the decision log's candidate costs).
+void append_fixed4(std::string& out, double value);
+
+/// An integer in base 10 (printf's %lld / %llu) or 16 (%llx).
+template <typename Int>
+void append_int(std::string& out, Int value, int base = 10) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value, base);
+  out.append(buf, res.ptr);
+}
+
+/// Appends `text` JSON-escaped (quote, backslash, every byte below 0x20),
+/// without the surrounding quotes.
+void append_json_escaped(std::string& out, std::string_view text);
+
+/// Appends one CSV field per RFC 4180: quoted, with doubled quotes, only
+/// when it contains a comma, quote, CR or LF.
+void append_csv_field(std::string& out, std::string_view field);
+
+/// Appends into buf() and hands the bytes to the stream one chunk at a
+/// time: poll() between records writes the buffer once it holds kChunk
+/// bytes, and destruction writes the rest. Memory stays at one chunk
+/// whatever the artifact's size.
+class ChunkedWriter {
+ public:
+  static constexpr std::size_t kChunk = std::size_t{1} << 20;
+
+  explicit ChunkedWriter(std::ostream& out);
+  ~ChunkedWriter();
+  ChunkedWriter(const ChunkedWriter&) = delete;
+  ChunkedWriter& operator=(const ChunkedWriter&) = delete;
+
+  std::string& buf() { return buf_; }
+  void poll() {
+    if (buf_.size() >= kChunk) flush();
+  }
+  void flush();
+
+ private:
+  std::ostream& out_;
+  std::string buf_;
+};
+
+/// Writes an artifact file: opens `path`, runs `write`, flushes, and throws
+/// std::runtime_error naming `what` if the open or any write failed (a
+/// full disk must not leave a silently truncated file).
+void write_artifact_file(const std::string& path, const std::string& what,
+                         const std::function<void(std::ostream&)>& write);
 
 /// One named cell of a result row. `numeric` cells serialize unquoted in
 /// JSON (non-finite values become null); text cells are escaped.
@@ -55,8 +123,7 @@ class ResultRow {
   std::vector<Field> fields_;
 };
 
-/// Canonical number formatting used by every artifact: integral values
-/// print with no fraction, everything else as shortest %.10g.
+/// append_number into a fresh string.
 std::string format_number(double value);
 
 /// Writes rows as CSV: header from the first row's field names, then one
@@ -71,7 +138,7 @@ void write_json(std::ostream& out, const std::vector<ResultRow>& rows);
 std::string csv_string(const std::vector<ResultRow>& rows);
 std::string json_string(const std::vector<ResultRow>& rows);
 
-/// JSON string escaping (quotes, backslash, control characters).
+/// append_json_escaped into a fresh string.
 std::string json_escape(const std::string& text);
 
 }  // namespace wsched::harness

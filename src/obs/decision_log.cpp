@@ -1,55 +1,74 @@
 #include "obs/decision_log.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <stdexcept>
+#include <ostream>
 
 #include "harness/artifacts.hpp"
 
 namespace wsched::obs {
 
+namespace {
+
+/// "node:cost|node:cost|..." with costs as %.4f.
+void append_candidates(std::string& out, const ScoredCandidate* cands,
+                       std::uint32_t count) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (i > 0) out += '|';
+    harness::append_int(out, cands[i].node);
+    out += ':';
+    harness::append_fixed4(out, cands[i].cost);
+  }
+}
+
+}  // namespace
+
 std::string DecisionLog::candidates_of(const DecisionRecord& rec) const {
   std::string joined;
-  char buf[48];
-  const ScoredCandidate* cands = candidates_begin(rec);
-  for (std::uint32_t i = 0; i < rec.cand_count; ++i) {
-    std::snprintf(buf, sizeof buf, "%d:%.4f", cands[i].node, cands[i].cost);
-    if (!joined.empty()) joined += '|';
-    joined += buf;
-  }
+  append_candidates(joined, candidates_begin(rec), rec.cand_count);
   return joined;
 }
 
 void DecisionLog::write_csv(std::ostream& out) const {
-  std::vector<harness::ResultRow> rows;
-  rows.reserve(records_.size());
+  if (records_.empty()) return;
+  harness::ChunkedWriter writer(out);
+  std::string& buf = writer.buf();
+  buf += gray_ ? "seq,t_s,class,receiver,chosen,remote,w,reason,stale_s,"
+                 "w_hat,theta_eff,slow_penalty,hedged,candidates\n"
+               : "seq,t_s,class,receiver,chosen,remote,w,reason,stale_s,"
+                 "w_hat,theta_eff,candidates\n";
+  const auto number = [&buf](double value) {
+    harness::append_number(buf, value);
+    buf += ',';
+  };
   for (const DecisionRecord& record : records_) {
-    harness::ResultRow row;
-    row.set("seq", static_cast<unsigned long long>(record.seq))
-        .set("t_s", to_seconds(record.at))
-        .set("class", record.dynamic ? "dynamic" : "static")
-        .set("receiver", record.receiver)
-        .set("chosen", record.chosen)
-        .set_bool("remote", record.remote)
-        .set("w", record.w)
-        .set("reason", record.reason)
-        .set("stale_s", record.stale_s)
-        .set("w_hat", record.w_hat)
-        .set("theta_eff", record.theta_eff);
+    harness::append_int(buf, record.seq);
+    buf += ',';
+    number(to_seconds(record.at));
+    buf += record.dynamic ? "dynamic," : "static,";
+    harness::append_int(buf, record.receiver);
+    buf += ',';
+    harness::append_int(buf, record.chosen);
+    buf += record.remote ? ",1," : ",0,";
+    number(record.w);
+    harness::append_csv_field(buf, record.reason);
+    buf += ',';
+    number(record.stale_s);
+    number(record.w_hat);
+    number(record.theta_eff);
     if (gray_) {
-      row.set("slow_penalty", record.slow_penalty)
-          .set_bool("hedged", record.hedged);
+      number(record.slow_penalty);
+      buf += record.hedged ? "1," : "0,";
     }
-    row.set("candidates", candidates_of(record));
-    rows.push_back(std::move(row));
+    // "node:cost|..." never holds a comma, quote or newline, so the field
+    // needs no CSV quoting.
+    append_candidates(buf, candidates_begin(record), record.cand_count);
+    buf += '\n';
+    writer.poll();
   }
-  harness::write_csv(out, rows);
 }
 
 void DecisionLog::write_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open decision log " + path);
-  write_csv(out);
+  harness::write_artifact_file(path, "decision log",
+                               [this](std::ostream& out) { write_csv(out); });
 }
 
 }  // namespace wsched::obs

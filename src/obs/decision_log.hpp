@@ -6,7 +6,7 @@
 // with each candidate's RSRC score ("node:score" pairs). The log is what
 // turns "the policy regressed" into "at t=4.2s the reservation closed and
 // every CGI herded onto slave 7" — diffable across two runs because the
-// serialization rides the canonical artifacts writers.
+// serialization rides the canonical artifact formatter.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +86,8 @@ class DecisionLog {
     return pool_.data() + rec.cand_begin;
   }
   /// Formats the record's candidate set as "node:score|node:score|..."
-  /// (the CSV serialization; empty when the set is empty).
+  /// with scores as %.4f (the CSV serialization; empty when the set is
+  /// empty).
   std::string candidates_of(const DecisionRecord& rec) const;
   std::size_t size() const { return records_.size(); }
   void clear() {
@@ -100,10 +101,12 @@ class DecisionLog {
   void enable_gray_columns() { gray_ = true; }
   bool gray_columns() const { return gray_; }
 
-  /// Canonical CSV (via the harness artifact writers): one row per record
-  /// with columns seq, t_s, class, receiver, chosen, remote, w, reason,
-  /// stale_s, w_hat, theta_eff, [slow_penalty, hedged,] candidates.
+  /// Canonical CSV (via the harness formatter): one row per record with
+  /// columns seq, t_s, class, receiver, chosen, remote, w, reason,
+  /// stale_s, w_hat, theta_eff, [slow_penalty, hedged,] candidates. An
+  /// empty log writes nothing, not even the header.
   void write_csv(std::ostream& out) const;
+  /// Throws std::runtime_error if the file cannot be opened or written.
   void write_csv_file(const std::string& path) const;
 
  private:

@@ -1,7 +1,6 @@
 #include "obs/probes.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 
 #include "harness/artifacts.hpp"
@@ -77,23 +76,26 @@ void ProbeRecorder::sample(Time now, const std::vector<NodeProbe>& nodes,
 }
 
 void ProbeRecorder::write_csv(std::ostream& out) const {
-  std::vector<harness::ResultRow> rows;
-  rows.reserve(samples_.size());
+  if (samples_.empty()) return;
+  harness::ChunkedWriter writer(out);
+  std::string& buf = writer.buf();
+  buf += "t_s,node,metric,value\n";
   for (const ProbeSample& sample : samples_) {
-    harness::ResultRow row;
-    row.set("t_s", to_seconds(sample.at))
-        .set("node", sample.node)
-        .set("metric", sample.metric)
-        .set("value", sample.value);
-    rows.push_back(std::move(row));
+    harness::append_number(buf, to_seconds(sample.at));
+    buf += ',';
+    harness::append_int(buf, sample.node);
+    buf += ',';
+    harness::append_csv_field(buf, sample.metric);
+    buf += ',';
+    harness::append_number(buf, sample.value);
+    buf += '\n';
+    writer.poll();
   }
-  harness::write_csv(out, rows);
 }
 
 void ProbeRecorder::write_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open probe file " + path);
-  write_csv(out);
+  harness::write_artifact_file(path, "probe file",
+                               [this](std::ostream& out) { write_csv(out); });
 }
 
 }  // namespace wsched::obs

@@ -79,8 +79,10 @@ class ProbeRecorder {
   const std::vector<ProbeSample>& samples() const { return samples_; }
   std::size_t rounds() const { return rounds_; }
 
-  /// Canonical long-format CSV: t_s, node, metric, value.
+  /// Canonical long-format CSV: t_s, node, metric, value. A recorder with
+  /// no samples writes nothing, not even the header.
   void write_csv(std::ostream& out) const;
+  /// Throws std::runtime_error if the file cannot be opened or written.
   void write_csv_file(const std::string& path) const;
 
  private:

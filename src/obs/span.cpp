@@ -1,11 +1,10 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
+
+#include "harness/artifacts.hpp"
 
 namespace wsched::obs {
 
@@ -231,18 +230,6 @@ struct Candidate {
   double stretch = 0.0;
 };
 
-void append_number(std::string& out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", value);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(value));
-  out += buf;
-}
-
 }  // namespace
 
 void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
@@ -270,79 +257,71 @@ void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
       candidates.resize(static_cast<std::size_t>(want));
   }
 
-  std::string text;
-  text += "{\n  \"k\": ";
-  append_i64(text, want);
-  text += ",\n  \"exemplars\": [";
+  harness::ChunkedWriter writer(out);
+  std::string& buf = writer.buf();
+  const auto field = [&buf](const char* key, std::int64_t value) {
+    buf += key;
+    harness::append_int(buf, value);
+  };
+  field("{\n  \"k\": ", want);
+  buf += ",\n  \"exemplars\": [";
   bool first_exemplar = true;
+  std::vector<std::uint32_t> chain;  // local id -> pool index, ascending
   for (const auto& candidates : by_class) {
     for (const Candidate& candidate : candidates) {
       const Req& r = reqs_[candidate.job];
-      if (!first_exemplar) text += ",";
+      if (!first_exemplar) buf += ',';
       first_exemplar = false;
-      text += "\n    {\"job\": ";
-      append_i64(text, static_cast<std::int64_t>(candidate.job));
-      text += ", \"class\": \"";
-      text += r.dynamic ? "dynamic" : "static";
-      text += "\", \"outcome\": \"";
-      text += to_string(r.outcome);
-      text += "\", \"attempts\": ";
-      append_i64(text, r.attempts);
-      text += ",\n     \"arrival_ns\": ";
-      append_i64(text, r.arrival);
-      text += ", \"end_ns\": ";
-      append_i64(text, r.end);
-      text += ", \"demand_ns\": ";
-      append_i64(text, r.demand);
-      text += ", \"stretch\": ";
-      append_number(text, candidate.stretch);
-      text += ",\n     \"phases_ns\": {";
+      field("\n    {\"job\": ", static_cast<std::int64_t>(candidate.job));
+      buf += ", \"class\": \"";
+      buf += r.dynamic ? "dynamic" : "static";
+      buf += "\", \"outcome\": \"";
+      buf += to_string(r.outcome);
+      buf += '"';
+      field(", \"attempts\": ", r.attempts);
+      field(",\n     \"arrival_ns\": ", r.arrival);
+      field(", \"end_ns\": ", r.end);
+      field(", \"demand_ns\": ", r.demand);
+      buf += ", \"stretch\": ";
+      harness::append_general(buf, candidate.stretch);
+      buf += ",\n     \"phases_ns\": {";
       for (std::size_t i = 0; i < kSpanPhaseCount; ++i) {
-        if (i != 0) text += ", ";
-        text += "\"";
-        text += to_string(static_cast<SpanPhase>(i));
-        text += "\": ";
-        append_i64(text, r.phase_ns[i]);
+        if (i != 0) buf += ", ";
+        buf += '"';
+        buf += to_string(static_cast<SpanPhase>(i));
+        field("\": ", r.phase_ns[i]);
       }
-      text += "},\n     \"spans\": [";
+      buf += "},\n     \"spans\": [";
       // Renumber this request's chain into local 0-based ids so each
-      // exemplar is self-contained. Creation order means a parent always
-      // precedes its children, so parent ids are already assigned.
-      std::uint32_t local = 0;
-      for (std::uint32_t idx = r.head; idx != kNoSpan;
-           idx = pool_[idx].next, ++local) {
-        const SpanNode& node = pool_[idx];
-        if (local != 0) text += ",";
-        text += "\n      {\"id\": ";
-        append_i64(text, local);
-        text += ", \"parent\": ";
-        if (node.parent == kNoSpan) {
-          text += "-1";
-        } else {
-          // Walk back through the chain to find the parent's local id.
-          std::uint32_t parent_local = 0;
-          for (std::uint32_t scan = r.head; scan != node.parent;
-               scan = pool_[scan].next)
-            ++parent_local;
-          append_i64(text, parent_local);
-        }
-        text += ", \"name\": \"";
-        text += node.name != nullptr ? node.name : "";
-        text += "\", \"pid\": ";
-        append_i64(text, node.pid);
-        text += ", \"start_ns\": ";
-        append_i64(text, node.start);
-        text += ", \"end_ns\": ";
-        append_i64(text, node.end);
-        text += ", \"value\": ";
-        append_i64(text, node.value);
-        text += "}";
+      // exemplar is self-contained. Spans are pooled in creation order, so
+      // the chain's pool indices ascend and a parent (created before its
+      // children) is found by binary search.
+      chain.clear();
+      for (std::uint32_t idx = r.head; idx != kNoSpan; idx = pool_[idx].next)
+        chain.push_back(idx);
+      for (std::size_t local = 0; local < chain.size(); ++local) {
+        const SpanNode& node = pool_[chain[local]];
+        if (local != 0) buf += ',';
+        field("\n      {\"id\": ", static_cast<std::int64_t>(local));
+        const std::int64_t parent =
+            node.parent == kNoSpan
+                ? -1
+                : std::lower_bound(chain.begin(), chain.end(), node.parent) -
+                      chain.begin();
+        field(", \"parent\": ", parent);
+        buf += ", \"name\": \"";
+        if (node.name != nullptr) buf += node.name;
+        field("\", \"pid\": ", node.pid);
+        field(", \"start_ns\": ", node.start);
+        field(", \"end_ns\": ", node.end);
+        field(", \"value\": ", node.value);
+        buf += '}';
       }
-      text += "\n     ]}";
+      buf += "\n     ]}";
+      writer.poll();
     }
   }
-  text += "\n  ]\n}\n";
-  out << text;
+  buf += "\n  ]\n}\n";
 }
 
 std::string SpanRecorder::exemplars_str(int k) const {
@@ -353,10 +332,9 @@ std::string SpanRecorder::exemplars_str(int k) const {
 
 void SpanRecorder::write_exemplars_file(const std::string& path,
                                         int k) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open span output: " + path);
-  write_exemplars(out, k);
-  if (!out) throw std::runtime_error("failed writing span output: " + path);
+  harness::write_artifact_file(
+      path, "span output",
+      [this, k](std::ostream& out) { write_exemplars(out, k); });
 }
 
 }  // namespace wsched::obs

@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -148,61 +147,76 @@ namespace {
 
 /// Simulator Time (integral ns) as Chrome microseconds. Chrome ts values
 /// are conventionally doubles; three decimals keep full ns fidelity.
-void write_us(std::ostream& out, Time t) {
-  out << t / 1000 << '.';
+void append_us(std::string& out, Time t) {
+  harness::append_int(out, t / 1000);
   const Time frac = t % 1000;
-  out << static_cast<char>('0' + frac / 100)
-      << static_cast<char>('0' + (frac / 10) % 10)
-      << static_cast<char>('0' + frac % 10);
+  const char digits[] = {'.', static_cast<char>('0' + frac / 100),
+                         static_cast<char>('0' + (frac / 10) % 10),
+                         static_cast<char>('0' + frac % 10)};
+  out.append(digits, sizeof digits);
 }
 
 }  // namespace
 
 void ChromeTraceSink::write(std::ostream& out) const {
-  out << "{\"traceEvents\":[\n";
+  harness::ChunkedWriter writer(out);
+  std::string& buf = writer.buf();
+  buf += "{\"traceEvents\":[\n";
   bool first = true;
   for (const Event& event : events_) {
-    if (!first) out << ",\n";
+    if (!first) buf += ",\n";
     first = false;
     // Sinks accept arbitrary const char* names; a nullptr (skipped by the
     // recent-names ring too) serializes as an empty name, not UB.
-    out << "{\"name\":\""
-        << harness::json_escape(event.name != nullptr ? event.name : "")
-        << "\",\"cat\":\"" << to_string(event.category) << "\",\"ph\":\""
-        << event.phase << "\",\"pid\":" << event.pid
-        << ",\"tid\":" << event.tid << ",\"ts\":";
-    write_us(out, event.ts);
+    buf += "{\"name\":\"";
+    if (event.name != nullptr) harness::append_json_escaped(buf, event.name);
+    buf += "\",\"cat\":\"";
+    buf += to_string(event.category);
+    buf += "\",\"ph\":\"";
+    buf += event.phase;
+    buf += "\",\"pid\":";
+    harness::append_int(buf, event.pid);
+    buf += ",\"tid\":";
+    harness::append_int(buf, event.tid);
+    buf += ",\"ts\":";
+    append_us(buf, event.ts);
     if (event.phase == 'X') {
-      out << ",\"dur\":";
-      write_us(out, event.dur);
+      buf += ",\"dur\":";
+      append_us(buf, event.dur);
     }
     if (event.phase == 'b' || event.phase == 'e' || event.phase == 's' ||
-        event.phase == 't' || event.phase == 'f')
-      out << ",\"id\":\"0x" << std::hex << event.id << std::dec << '"';
+        event.phase == 't' || event.phase == 'f') {
+      buf += ",\"id\":\"0x";
+      harness::append_int(buf, event.id, 16);
+      buf += '"';
+    }
     // A finish flow binds to its enclosing slice so the arrow lands on
     // the event that terminated the request.
-    if (event.phase == 'f') out << ",\"bp\":\"e\"";
-    if (event.phase == 'i') out << ",\"s\":\"t\"";
+    if (event.phase == 'f') buf += ",\"bp\":\"e\"";
+    if (event.phase == 'i') buf += ",\"s\":\"t\"";
     if (event.arg_count > 0) {
-      out << ",\"args\":{";
+      buf += ",\"args\":{";
       for (std::uint32_t i = 0; i < event.arg_count; ++i) {
-        if (i > 0) out << ',';
+        if (i > 0) buf += ',';
         const Arg& arg = args_[event.arg_begin + i];
-        out << '"' << harness::json_escape(arg.key) << "\":";
+        buf += '"';
+        harness::append_json_escaped(buf, arg.key);
+        buf += "\":";
         if (arg.text_len == 0) {
-          out << harness::format_number(arg.num);
+          harness::append_number(buf, arg.num);
         } else {
-          out << '"'
-              << harness::json_escape(
-                     chars_.substr(arg.text_off, arg.text_len))
-              << '"';
+          buf += '"';
+          harness::append_json_escaped(
+              buf, std::string_view(chars_).substr(arg.text_off, arg.text_len));
+          buf += '"';
         }
       }
-      out << '}';
+      buf += '}';
     }
-    out << '}';
+    buf += '}';
+    writer.poll();
   }
-  out << "\n]}\n";
+  buf += "\n]}\n";
 }
 
 std::string ChromeTraceSink::str() const {
@@ -212,9 +226,8 @@ std::string ChromeTraceSink::str() const {
 }
 
 void ChromeTraceSink::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open trace file " + path);
-  write(out);
+  harness::write_artifact_file(path, "trace file",
+                               [this](std::ostream& out) { write(out); });
 }
 
 }  // namespace wsched::obs

@@ -156,7 +156,7 @@ class ChromeTraceSink final : public TraceSink {
   // args, metadata names) into one byte buffer. Buffering a trace costs
   // amortized-zero allocations per event instead of retaining a vector
   // (and possibly strings) for each; serialization walks the pools
-  // sequentially. The JSON formatting in write() is unchanged.
+  // sequentially through the harness formatter.
   struct Event {
     Category category;
     char phase;  ///< 'X', 'i', 'C', 'b', 'e', 'M', 's', 't', 'f'

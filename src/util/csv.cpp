@@ -1,31 +1,6 @@
 #include "util/csv.hpp"
 
-#include <ostream>
-
 namespace wsched {
-
-std::string csv_escape(std::string_view field) {
-  const bool needs_quotes =
-      field.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quotes) return std::string(field);
-  std::string out;
-  out.reserve(field.size() + 2);
-  out.push_back('"');
-  for (char ch : field) {
-    if (ch == '"') out.push_back('"');
-    out.push_back(ch);
-  }
-  out.push_back('"');
-  return out;
-}
-
-void write_csv_row(std::ostream& out, const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out << ',';
-    out << csv_escape(fields[i]);
-  }
-  out << '\n';
-}
 
 std::vector<std::string> parse_csv_line(std::string_view line) {
   std::vector<std::string> fields;

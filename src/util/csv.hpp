@@ -1,21 +1,12 @@
-// Minimal CSV writing/parsing for trace files and experiment dumps.
-//
-// Supports RFC-4180-style quoting for fields containing commas, quotes or
-// newlines; that is all the repo needs.
+// Minimal CSV parsing for trace files. Writing (RFC-4180 quoting) is
+// harness::append_csv_field, the one formatter every artifact uses.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace wsched {
-
-/// Writes one CSV row (with quoting as needed) followed by '\n'.
-void write_csv_row(std::ostream& out, const std::vector<std::string>& fields);
-
-/// Escapes a single field per RFC 4180 (quotes only when necessary).
-std::string csv_escape(std::string_view field);
 
 /// Parses one CSV line into fields (handles quoted fields with embedded
 /// commas and doubled quotes). Does not handle embedded newlines across

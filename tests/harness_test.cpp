@@ -4,8 +4,11 @@
 // run's.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "harness/artifacts.hpp"
 #include "harness/grids.hpp"
 #include "harness/sweep.hpp"
+#include "util/csv.hpp"
 
 namespace wsched::harness {
 namespace {
@@ -133,6 +137,141 @@ TEST(Artifacts, SetOverwritesInPlaceAndMergePreservesNumeric) {
   row.merge(other);
   EXPECT_TRUE(row.fields()[2].numeric);
   EXPECT_DOUBLE_EQ(row.number("c"), 2.5);
+}
+
+// --- the canonical formatter, pinned against printf -----------------------
+
+template <typename... Args>
+std::string printf_ref(const char* format, Args... args) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf, format, args...);
+  return buf;
+}
+
+template <typename Append>
+std::string appended(Append append, double value) {
+  std::string out;
+  append(out, value);
+  return out;
+}
+
+TEST(Format, NumberRule) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // `integral` cases print as %lld, the rest as %.10g.
+  struct Case {
+    double value;
+    bool integral;
+    const char* want;
+  };
+  const Case cases[] = {
+      {0.0, true, "0"},
+      {-0.0, true, "0"},
+      {0.1, false, "0.1"},
+      {1.0 / 3.0, false, "0.3333333333"},
+      {-2.5, false, "-2.5"},
+      {9007199254740992.0, false, "9.007199255e+15"},  // 2^53 is past 1e15
+      {1e15 - 1, true, "999999999999999"},
+      {-(1e15 - 1), true, "-999999999999999"},
+      {1e15, false, "1e+15"},
+      {1e300, false, "1e+300"},
+      {1e-300, false, "1e-300"},
+      {nan, false, "nan"},
+      {inf, false, "inf"},
+      {-inf, false, "-inf"},
+  };
+  for (const Case& c : cases) {
+    const std::string ref =
+        c.integral ? printf_ref("%lld", static_cast<long long>(c.value))
+                   : printf_ref("%.10g", c.value);
+    EXPECT_EQ(ref, c.want) << c.want;
+    EXPECT_EQ(format_number(c.value), c.want);
+    EXPECT_EQ(appended(append_number, c.value), c.want);
+  }
+}
+
+TEST(Format, GeneralAndFixedMatchPrintfAcrossMagnitudes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {0.0,  -0.0, 0.00005, 0.00015, 2.5e-5, 1.2,
+                                3.4,  1e300, -1e300, 1e-300, nan,   inf,
+                                -inf, 12345678901.0};
+  for (int exp = -20; exp <= 20; ++exp)
+    for (double mantissa : {1.0, 1.5, 3.14159265358979, -7.000049999, 9.99995})
+      values.push_back(mantissa * std::pow(10.0, exp));
+  for (double v : values) {
+    EXPECT_EQ(appended(append_general, v), printf_ref("%.10g", v)) << v;
+    EXPECT_EQ(appended(append_fixed4, v), printf_ref("%.4f", v)) << v;
+  }
+  EXPECT_EQ(appended(append_fixed4, 1.2), "1.2000");
+}
+
+TEST(Format, CsvQuoting) {
+  struct Case {
+    const char* field;
+    const char* want;
+  };
+  const Case cases[] = {
+      {"", ""},
+      {"plain", "plain"},
+      {"a,b", "\"a,b\""},
+      {"say \"hi\"", "\"say \"\"hi\"\"\""},
+      {"cr\rhere", "\"cr\rhere\""},
+      {"lf\nhere", "\"lf\nhere\""},
+      {"tab\tstays", "tab\tstays"},
+  };
+  for (const Case& c : cases) {
+    std::string out;
+    append_csv_field(out, c.field);
+    EXPECT_EQ(out, c.want) << c.field;
+  }
+  // Quoted fields parse back to the original text.
+  std::string line;
+  for (const char* field : {"plain", "with,comma", "with \"quote\""}) {
+    if (!line.empty()) line += ',';
+    append_csv_field(line, field);
+  }
+  const auto fields = parse_csv_line(line);
+  ASSERT_EQ(fields.size(), 3u);
+  EXPECT_EQ(fields[1], "with,comma");
+  EXPECT_EQ(fields[2], "with \"quote\"");
+}
+
+TEST(Format, JsonEscapesEveryControlByte) {
+  for (int b = 0; b < 0x20; ++b) {
+    const std::string text(1, static_cast<char>(b));
+    const std::string want = b == '\n'   ? "\\n"
+                             : b == '\r' ? "\\r"
+                             : b == '\t' ? "\\t"
+                                         : printf_ref("\\u%04x", b);
+    EXPECT_EQ(json_escape(text), want) << b;
+  }
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  // DEL and bytes above 0x7f pass through unchanged.
+  EXPECT_EQ(json_escape("x\x7f\xc3\xa9y"), "x\x7f\xc3\xa9y");
+  std::string out = "[";
+  append_json_escaped(out, "tab\there");
+  EXPECT_EQ(out, "[tab\\there");
+}
+
+TEST(Format, ChunkedWriterOutputIsIndependentOfChunking) {
+  // Three chunks' worth of rows: flushed in pieces, the stream sees the
+  // same bytes as one string holding them all.
+  std::ostringstream streamed;
+  std::string whole;
+  {
+    ChunkedWriter writer(streamed);
+    for (int i = 0; whole.size() < 3 * ChunkedWriter::kChunk; ++i) {
+      const double value = i / 7.0;
+      append_number(writer.buf(), value);
+      writer.buf() += '\n';
+      writer.poll();
+      EXPECT_LT(writer.buf().size(), ChunkedWriter::kChunk);
+      append_number(whole, value);
+      whole += '\n';
+    }
+  }
+  EXPECT_EQ(streamed.str(), whole);
 }
 
 // The tentpole contract: running the same sweep serially and on four

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -265,26 +264,6 @@ TEST(Percent, Formatting) {
   EXPECT_EQ(percent(0.68), "68.0%");
   EXPECT_EQ(percent(0.125, 2), "12.50%");
   EXPECT_EQ(fixed(3.14159, 3), "3.142");
-}
-
-TEST(Csv, EscapePlain) { EXPECT_EQ(csv_escape("abc"), "abc"); }
-
-TEST(Csv, EscapeSpecials) {
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, RoundTrip) {
-  std::ostringstream out;
-  write_csv_row(out, {"plain", "with,comma", "with \"quote\""});
-  std::string line = out.str();
-  ASSERT_FALSE(line.empty());
-  line.pop_back();  // strip '\n'
-  const auto fields = parse_csv_line(line);
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "plain");
-  EXPECT_EQ(fields[1], "with,comma");
-  EXPECT_EQ(fields[2], "with \"quote\"");
 }
 
 TEST(Csv, ParseEmptyFields) {
