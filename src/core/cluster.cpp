@@ -73,6 +73,7 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
   obs::TraceSink* tracer = config_.obs.trace;
   obs::CounterRegistry* counters = config_.obs.counters;
   obs::SpanRecorder* spans = config_.obs.spans;
+  if (spans != nullptr) spans->reserve(trace.records.size() + 1);
   // Flow events ride the trace but only exist when spans are on, so a
   // span-off trace keeps its exact bytes.
   obs::TraceSink* flow = spans != nullptr ? tracer : nullptr;

@@ -207,7 +207,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   }
   std::unique_ptr<obs::SpanRecorder> span_recorder;
   if (spec.obs.spans_on() && obs.spans == nullptr) {
-    span_recorder = std::make_unique<obs::SpanRecorder>();
+    span_recorder = std::make_unique<obs::SpanRecorder>(
+        spec.obs.span_path.empty() ? 0 : spec.obs.exemplars);
     obs.spans = span_recorder.get();
   }
   config.obs = obs;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "harness/artifacts.hpp"
 
@@ -33,6 +34,8 @@ const char* to_string(SpanOutcome outcome) {
   return "?";
 }
 
+SpanRecorder::SpanRecorder(int exemplars) : retain_(std::max(exemplars, 0)) {}
+
 SpanRecorder::Req& SpanRecorder::ensure(std::uint64_t job) {
   if (job >= reqs_.size()) reqs_.resize(job + 1);
   return reqs_[job];
@@ -59,23 +62,33 @@ void SpanRecorder::set_phase(Req& r, SpanPhase phase, Time t) {
   r.cur = phase;
 }
 
-std::uint32_t SpanRecorder::open_span(Req& r, const char* name, Time t,
+std::uint32_t SpanRecorder::open_span(Tree& tree, const char* name, Time t,
                                       int pid, std::uint32_t parent) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(pool_.size());
-  SpanNode node;
+  const std::uint32_t parent_id =
+      parent == kNoSpan ? kNoSpan : pool_[parent].id;
+  std::uint32_t idx = free_span_;
+  if (idx != kNoSpan) {
+    free_span_ = pool_[idx].next;
+  } else {
+    idx = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  }
+  SpanNode& node = pool_[idx];
   node.name = name;
   node.start = t;
   node.end = -1;
-  node.parent = parent;
+  node.id = tree.size++;
+  node.parent = parent_id;
   node.next = kNoSpan;
   node.pid = pid;
-  pool_.push_back(node);
-  if (r.tail == kNoSpan) {
-    r.head = idx;
+  node.value = 0;
+  ++live_spans_;
+  if (tree.tail == kNoSpan) {
+    tree.head = idx;
   } else {
-    pool_[r.tail].next = idx;
+    pool_[tree.tail].next = idx;
   }
-  r.tail = idx;
+  tree.tail = idx;
   return idx;
 }
 
@@ -86,10 +99,45 @@ void SpanRecorder::close_span(std::uint32_t span, Time t) {
 }
 
 void SpanRecorder::close_open_legs(Req& r, Time t) {
-  close_span(r.slice, t);
-  close_span(r.visit, t);
-  close_span(r.leg, t);
-  r.slice = r.visit = r.leg = kNoSpan;
+  r.in_visit = false;
+  Tree* tree = tree_of(r);
+  if (tree == nullptr) return;
+  close_span(tree->slice, t);
+  close_span(tree->visit, t);
+  close_span(tree->leg, t);
+  tree->slice = tree->visit = tree->leg = kNoSpan;
+}
+
+void SpanRecorder::release(Req& r) {
+  const Tree& tree = trees_[r.tree];
+  pool_[tree.tail].next = free_span_;
+  free_span_ = tree.head;
+  live_spans_ -= tree.size;
+  free_trees_.push_back(r.tree);
+  r.tree = kNoSpan;
+}
+
+void SpanRecorder::retain(std::uint64_t job, Req& r) {
+  // Stretch = sojourn / unloaded demand (zero-demand requests rank by raw
+  // sojourn). The order is total, so the kept set equals the top K of a
+  // full sort whatever order requests terminate in.
+  const double sojourn = to_seconds(r.end - r.arrival);
+  const double basis = r.demand > 0 ? to_seconds(r.demand) : 1.0;
+  const Candidate candidate{job, sojourn / basis};
+  std::vector<Candidate>& kept = kept_[r.dynamic ? 1 : 0];
+  if (kept.size() < static_cast<std::size_t>(retain_)) {
+    kept.push_back(candidate);
+    std::push_heap(kept.begin(), kept.end(), ranks_before);
+    return;
+  }
+  if (!ranks_before(candidate, kept.front())) {
+    release(r);
+    return;
+  }
+  std::pop_heap(kept.begin(), kept.end(), ranks_before);
+  release(reqs_[kept.back().job]);
+  kept.back() = candidate;
+  std::push_heap(kept.begin(), kept.end(), ranks_before);
 }
 
 void SpanRecorder::on_arrival(std::uint64_t job, Time t, bool dynamic,
@@ -101,15 +149,24 @@ void SpanRecorder::on_arrival(std::uint64_t job, Time t, bool dynamic,
   r.cur = SpanPhase::kAdmission;
   r.dynamic = dynamic;
   r.demand = demand;
-  r.root = open_span(r, "request", t, pid, kNoSpan);
+  if (retain_ == 0) return;
+  if (free_trees_.empty()) {
+    r.tree = static_cast<std::uint32_t>(trees_.size());
+    trees_.emplace_back();
+  } else {
+    r.tree = free_trees_.back();
+    free_trees_.pop_back();
+    trees_[r.tree] = Tree{};
+  }
+  Tree& tree = trees_[r.tree];
+  tree.root = open_span(tree, "request", t, pid, kNoSpan);
 }
 
 void SpanRecorder::on_class(std::uint64_t job, bool dynamic, Time demand) {
-  if (job >= reqs_.size()) return;
-  Req& r = reqs_[job];
-  if (r.arrival < 0) return;
-  r.dynamic = dynamic;
-  r.demand = demand;
+  Req* r = live(job);
+  if (r == nullptr) return;
+  r->dynamic = dynamic;
+  r->demand = demand;
 }
 
 void SpanRecorder::begin_net(std::uint64_t job, Time t) {
@@ -117,7 +174,8 @@ void SpanRecorder::begin_net(std::uint64_t job, Time t) {
   if (r == nullptr) return;
   close_open_legs(*r, t);
   set_phase(*r, SpanPhase::kNet, t);
-  r->leg = open_span(*r, "rpc", t, pool_[r->root].pid, r->root);
+  if (Tree* tree = tree_of(*r))
+    tree->leg = open_span(*tree, "rpc", t, pool_[tree->root].pid, tree->root);
 }
 
 void SpanRecorder::begin_hop(std::uint64_t job, Time t) {
@@ -125,7 +183,8 @@ void SpanRecorder::begin_hop(std::uint64_t job, Time t) {
   if (r == nullptr) return;
   close_open_legs(*r, t);
   set_phase(*r, SpanPhase::kHop, t);
-  r->leg = open_span(*r, "hop", t, pool_[r->root].pid, r->root);
+  if (Tree* tree = tree_of(*r))
+    tree->leg = open_span(*tree, "hop", t, pool_[tree->root].pid, tree->root);
 }
 
 void SpanRecorder::begin_backoff(std::uint64_t job, Time t, bool admission) {
@@ -133,7 +192,9 @@ void SpanRecorder::begin_backoff(std::uint64_t job, Time t, bool admission) {
   if (r == nullptr) return;
   close_open_legs(*r, t);
   set_phase(*r, admission ? SpanPhase::kAdmission : SpanPhase::kBackoff, t);
-  r->leg = open_span(*r, "backoff", t, pool_[r->root].pid, r->root);
+  if (Tree* tree = tree_of(*r))
+    tree->leg =
+        open_span(*tree, "backoff", t, pool_[tree->root].pid, tree->root);
 }
 
 void SpanRecorder::begin_visit(std::uint64_t job, Time t, int pid) {
@@ -141,39 +202,51 @@ void SpanRecorder::begin_visit(std::uint64_t job, Time t, int pid) {
   if (r == nullptr) return;
   close_open_legs(*r, t);
   set_phase(*r, SpanPhase::kCpuWait, t);
-  r->visit = open_span(*r, "visit", t, pid, r->root);
+  r->in_visit = true;
   ++r->attempts;
+  if (Tree* tree = tree_of(*r))
+    tree->visit = open_span(*tree, "visit", t, pid, tree->root);
 }
 
 void SpanRecorder::cpu_run(std::uint64_t job, Time t) {
   Req* r = live(job);
-  if (r == nullptr || r->visit == kNoSpan) return;
-  close_span(r->slice, t);
+  if (r == nullptr || !r->in_visit) return;
   set_phase(*r, SpanPhase::kCpu, t);
-  r->slice = open_span(*r, "cpu", t, pool_[r->visit].pid, r->visit);
+  if (Tree* tree = tree_of(*r)) {
+    close_span(tree->slice, t);
+    tree->slice =
+        open_span(*tree, "cpu", t, pool_[tree->visit].pid, tree->visit);
+  }
 }
 
 void SpanRecorder::cpu_wait(std::uint64_t job, Time t) {
   Req* r = live(job);
-  if (r == nullptr || r->visit == kNoSpan) return;
-  close_span(r->slice, t);
-  r->slice = kNoSpan;
+  if (r == nullptr || !r->in_visit) return;
+  if (Tree* tree = tree_of(*r)) {
+    close_span(tree->slice, t);
+    tree->slice = kNoSpan;
+  }
   set_phase(*r, SpanPhase::kCpuWait, t);
 }
 
 void SpanRecorder::disk_run(std::uint64_t job, Time t) {
   Req* r = live(job);
-  if (r == nullptr || r->visit == kNoSpan) return;
-  close_span(r->slice, t);
+  if (r == nullptr || !r->in_visit) return;
   set_phase(*r, SpanPhase::kDisk, t);
-  r->slice = open_span(*r, "disk", t, pool_[r->visit].pid, r->visit);
+  if (Tree* tree = tree_of(*r)) {
+    close_span(tree->slice, t);
+    tree->slice =
+        open_span(*tree, "disk", t, pool_[tree->visit].pid, tree->visit);
+  }
 }
 
 void SpanRecorder::disk_wait(std::uint64_t job, Time t) {
   Req* r = live(job);
-  if (r == nullptr || r->visit == kNoSpan) return;
-  close_span(r->slice, t);
-  r->slice = kNoSpan;
+  if (r == nullptr || !r->in_visit) return;
+  if (Tree* tree = tree_of(*r)) {
+    close_span(tree->slice, t);
+    tree->slice = kNoSpan;
+  }
   set_phase(*r, SpanPhase::kDiskWait, t);
 }
 
@@ -181,11 +254,13 @@ void SpanRecorder::note(std::uint64_t job, const char* name, Time t,
                         std::int64_t value) {
   Req* r = live(job);
   if (r == nullptr) return;
-  std::uint32_t parent = r->leg != kNoSpan    ? r->leg
-                         : r->visit != kNoSpan ? r->visit
-                                               : r->root;
+  Tree* tree = tree_of(*r);
+  if (tree == nullptr) return;
+  const std::uint32_t parent = tree->leg != kNoSpan     ? tree->leg
+                               : tree->visit != kNoSpan ? tree->visit
+                                                        : tree->root;
   const std::uint32_t idx =
-      open_span(*r, name, t, pool_[parent].pid, parent);
+      open_span(*tree, name, t, pool_[parent].pid, parent);
   pool_[idx].end = t;
   pool_[idx].value = value;
 }
@@ -201,7 +276,10 @@ void SpanRecorder::terminal(std::uint64_t job, SpanOutcome outcome, Time t) {
   r->end = end;
   r->outcome = outcome;
   close_open_legs(*r, end);
-  close_span(r->root, end);
+  if (Tree* tree = tree_of(*r)) {
+    close_span(tree->root, end);
+    retain(job, *r);
+  }
 }
 
 SpanSummary SpanRecorder::summarize() const {
@@ -222,37 +300,19 @@ SpanSummary SpanRecorder::summarize() const {
   return summary;
 }
 
-namespace {
-
-/// Exemplar candidate: ranked by (stretch desc, job asc) within a class.
-struct Candidate {
-  std::uint64_t job = 0;
-  double stretch = 0.0;
-};
-
-}  // namespace
-
 void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
   const int want = std::max(k, 0);
-  // Rank terminated requests per class by stretch = sojourn / demand
-  // (the unloaded demand recorded at arrival, refreshed at completion;
-  // zero-demand requests rank by raw sojourn). Ties break toward the
-  // lower job id, so the selection is deterministic.
+  if (want > retain_)
+    throw std::invalid_argument(
+        "span exemplars: k=" + std::to_string(want) + " exceeds the " +
+        std::to_string(retain_) + " trees retained per class");
+  // The retained sets hold each class's worst terminated requests; ranked
+  // by (stretch desc, job asc), their top `want` is the full sort's.
   std::vector<Candidate> by_class[2];
-  for (std::size_t job = 0; job < reqs_.size(); ++job) {
-    const Req& r = reqs_[job];
-    if (r.arrival < 0 || r.end < 0) continue;
-    const double sojourn = to_seconds(r.end - r.arrival);
-    const double basis = r.demand > 0 ? to_seconds(r.demand) : 1.0;
-    by_class[r.dynamic ? 1 : 0].push_back(
-        {static_cast<std::uint64_t>(job), sojourn / basis});
-  }
-  for (auto& candidates : by_class) {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.stretch != b.stretch) return a.stretch > b.stretch;
-                return a.job < b.job;
-              });
+  for (int cls = 0; cls < 2; ++cls) {
+    std::vector<Candidate>& candidates = by_class[cls];
+    candidates = kept_[cls];
+    std::sort(candidates.begin(), candidates.end(), ranks_before);
     if (candidates.size() > static_cast<std::size_t>(want))
       candidates.resize(static_cast<std::size_t>(want));
   }
@@ -266,7 +326,6 @@ void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
   field("{\n  \"k\": ", want);
   buf += ",\n  \"exemplars\": [";
   bool first_exemplar = true;
-  std::vector<std::uint32_t> chain;  // local id -> pool index, ascending
   for (const auto& candidates : by_class) {
     for (const Candidate& candidate : candidates) {
       const Req& r = reqs_[candidate.job];
@@ -292,23 +351,15 @@ void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
         field("\": ", r.phase_ns[i]);
       }
       buf += "},\n     \"spans\": [";
-      // Renumber this request's chain into local 0-based ids so each
-      // exemplar is self-contained. Spans are pooled in creation order, so
-      // the chain's pool indices ascend and a parent (created before its
-      // children) is found by binary search.
-      chain.clear();
-      for (std::uint32_t idx = r.head; idx != kNoSpan; idx = pool_[idx].next)
-        chain.push_back(idx);
-      for (std::size_t local = 0; local < chain.size(); ++local) {
-        const SpanNode& node = pool_[chain[local]];
-        if (local != 0) buf += ',';
-        field("\n      {\"id\": ", static_cast<std::int64_t>(local));
-        const std::int64_t parent =
-            node.parent == kNoSpan
-                ? -1
-                : std::lower_bound(chain.begin(), chain.end(), node.parent) -
-                      chain.begin();
-        field(", \"parent\": ", parent);
+      // The chain runs in creation order and every span carries its
+      // request-local ordinals, so each exemplar is self-contained.
+      for (std::uint32_t idx = trees_[r.tree].head; idx != kNoSpan;
+           idx = pool_[idx].next) {
+        const SpanNode& node = pool_[idx];
+        if (node.id != 0) buf += ',';
+        field("\n      {\"id\": ", node.id);
+        field(", \"parent\": ",
+              node.parent == kNoSpan ? -1 : std::int64_t{node.parent});
         buf += ", \"name\": \"";
         if (node.name != nullptr) buf += node.name;
         field("\", \"pid\": ", node.pid);

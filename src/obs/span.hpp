@@ -28,11 +28,16 @@
 // the mark's forward movement, and the recorded end *is* the final mark.
 //
 // Storage follows the hot-path conventions (DESIGN.md section 14): one
-// POD Req per request indexed directly by the dense job id, one global
-// flat SpanNode pool chained per request, names are static string
-// literals, and all JSON formatting is deferred to write time. Every
-// hook is null-guarded at the call site, so a run with spans off is
-// byte-identical to one built without them.
+// POD Req per request indexed directly by the dense job id, sized once
+// by reserve(). Span trees are kept only where something can still read
+// them: every in-flight request owns a chain in a free-listed SpanNode
+// pool, and at terminal() a request's chain is either retained (it is
+// among the worst K of its class so far) or returned to the free list;
+// an evicted exemplar returns its chain the same way. A recorder built
+// with K == 0 keeps the ledger alone and builds no tree. Names are
+// static string literals, and all JSON formatting is deferred to write
+// time. Every hook is null-guarded at the call site, so a run with spans
+// off is byte-identical to one built without them.
 #pragma once
 
 #include <cstdint>
@@ -72,15 +77,17 @@ enum class SpanOutcome : std::uint8_t {
 
 const char* to_string(SpanOutcome outcome);
 
-/// One node of a request's span tree. Flat-pool storage: `parent` and
-/// `next` index the recorder's global pool (`next` chains the spans of
-/// one request in creation order). Notes are zero-length spans carrying
-/// an optional value (retry attempt, paged-in page count, ...).
+/// One node of a request's span tree. Pool storage: `next` indexes the
+/// recorder's pool and chains the spans of one request in creation order
+/// (or the free list); `id` and `parent` are request-local ordinals,
+/// stable however the pool slots are reused. Notes are zero-length spans
+/// carrying an optional value (retry attempt, paged-in page count, ...).
 struct SpanNode {
   const char* name = nullptr;  ///< static literal at every call site
   Time start = 0;
   Time end = -1;  ///< -1 while open
-  std::uint32_t parent = 0;
+  std::uint32_t id = 0;      ///< creation ordinal within the request
+  std::uint32_t parent = 0;  ///< parent's ordinal; kNoSpan for the root
   std::uint32_t next = 0;
   std::int32_t pid = 0;  ///< node id, or the cluster pseudo-pid
   std::int64_t value = 0;
@@ -116,7 +123,12 @@ class SpanRecorder {
  public:
   static constexpr std::uint32_t kNoSpan = 0xffffffffu;
 
-  SpanRecorder() = default;
+  /// `exemplars` is the number of span trees retained per class (the
+  /// most write_exemplars() can dump); 0 keeps the phase ledger alone.
+  explicit SpanRecorder(int exemplars = 3);
+
+  /// Sizes the ledger for job ids below `requests`, so it never regrows.
+  void reserve(std::size_t requests) { reqs_.reserve(requests); }
 
   // --- lifecycle hooks (called from cluster / node / rpc sites) ---
 
@@ -127,6 +139,7 @@ class SpanRecorder {
 
   /// Refreshes the request's class/demand (a cache hit demotes a dynamic
   /// request to static mid-flight; the final job is authoritative).
+  /// Ignored after terminal(), so a request's exemplar rank is final there.
   void on_class(std::uint64_t job, bool dynamic, Time demand);
 
   /// Request legs. Each closes any open leg/visit/slice spans at `t` and
@@ -150,9 +163,10 @@ class SpanRecorder {
             std::int64_t value = 0);
 
   /// Terminates the request: charges the ledger remainder, closes every
-  /// open span at max(t, mark) and records the outcome. Idempotent —
-  /// later calls for the same job (abandon/completion races) are ignored,
-  /// as is every other hook after termination.
+  /// open span at max(t, mark), records the outcome, and either retains
+  /// the span tree (among the worst K of its class so far) or frees it.
+  /// Idempotent — later calls for the same job (abandon/completion races)
+  /// are ignored, as is every other hook after termination.
   void terminal(std::uint64_t job, SpanOutcome outcome, Time t);
 
   // --- queries (tests, summary, exemplars) ---
@@ -181,7 +195,10 @@ class SpanRecorder {
   }
   /// Largest job id seen + 1 (ids are dense, so this bounds iteration).
   std::size_t request_capacity() const { return reqs_.size(); }
-  std::size_t span_count() const { return pool_.size(); }
+  /// Spans currently held: in-flight chains plus retained exemplar trees.
+  std::size_t span_count() const { return live_spans_; }
+  /// Span pool slots ever allocated: the high-water mark of span_count().
+  std::size_t span_slots() const { return pool_.size(); }
 
   /// Folds the ledger into per-class per-phase sums over terminated
   /// requests (in-flight requests are excluded — their decomposition is
@@ -190,14 +207,15 @@ class SpanRecorder {
 
   /// Dumps the worst `k` requests per class by stretch (sojourn /
   /// demand, ties broken toward the lower job id) as self-contained
-  /// JSON span trees. Deterministic for a given recorded run.
+  /// JSON span trees. Deterministic for a given recorded run. Throws
+  /// std::invalid_argument if `k` exceeds the construction-time count.
   void write_exemplars(std::ostream& out, int k) const;
   std::string exemplars_str(int k) const;
   /// Convenience: writes to `path`, throwing std::runtime_error on failure.
   void write_exemplars_file(const std::string& path, int k) const;
 
  private:
-  /// Per-request ledger + open-span cursor state. POD, pooled by job id.
+  /// Per-request phase ledger. POD, pooled by job id.
   struct Req {
     Time arrival = -1;  ///< -1 == slot never used
     Time end = -1;      ///< -1 == still in flight
@@ -207,31 +225,65 @@ class SpanRecorder {
     SpanPhase cur = SpanPhase::kAdmission;
     SpanOutcome outcome = SpanOutcome::kInFlight;
     bool dynamic = false;
+    bool in_visit = false;       ///< a node visit is open (gates bursts)
     std::uint32_t attempts = 0;  ///< node visits (1 == no failover)
-    // Span-tree cursors (indices into pool_; kNoSpan when closed/absent).
+    std::uint32_t tree = kNoSpan;  ///< index into trees_, or no tree kept
+  };
+
+  /// Span-tree cursors of one kept tree (indices into pool_; kNoSpan
+  /// when closed/absent). Live for in-flight and retained requests only.
+  struct Tree {
     std::uint32_t root = kNoSpan;
     std::uint32_t leg = kNoSpan;    ///< open rpc / hop / backoff span
     std::uint32_t visit = kNoSpan;  ///< open node-visit span
     std::uint32_t slice = kNoSpan;  ///< open cpu / disk burst span
     std::uint32_t head = kNoSpan;   ///< first span in creation order
     std::uint32_t tail = kNoSpan;   ///< last span (chain append point)
+    std::uint32_t size = 0;         ///< spans in the chain
   };
+
+  /// Exemplar candidate: ranked by (stretch desc, job asc) within a class.
+  struct Candidate {
+    std::uint64_t job = 0;
+    double stretch = 0.0;
+  };
+  static bool ranks_before(const Candidate& a, const Candidate& b) {
+    if (a.stretch != b.stretch) return a.stretch > b.stretch;
+    return a.job < b.job;
+  }
 
   Req* live(std::uint64_t job);  ///< null if unknown or already terminal
   Req& ensure(std::uint64_t job);
+  Tree* tree_of(Req& r) {
+    return r.tree == kNoSpan ? nullptr : &trees_[r.tree];
+  }
   /// Charges max(0, t - mark) to the current phase and advances the mark
   /// to max(mark, t); every charge equals the mark's movement, so the
   /// phase sums telescope to mark - arrival exactly.
   void charge(Req& r, Time t);
   void set_phase(Req& r, SpanPhase phase, Time t);
-  std::uint32_t open_span(Req& r, const char* name, Time t, int pid,
+  std::uint32_t open_span(Tree& tree, const char* name, Time t, int pid,
                           std::uint32_t parent);
   void close_span(std::uint32_t span, Time t);
   /// Closes slice, visit and leg spans (innermost first) at `t`.
   void close_open_legs(Req& r, Time t);
+  /// Offers a terminated request to its class's worst-K set; once the set
+  /// is full, the loser (this request or the evicted one) is released.
+  void retain(std::uint64_t job, Req& r);
+  /// Returns the request's chain to the span free list and its cursor
+  /// slot to the tree free list.
+  void release(Req& r);
 
+  int retain_ = 0;              ///< trees retained per class (K)
   std::vector<Req> reqs_;       ///< indexed by job id (dense from 1)
-  std::vector<SpanNode> pool_;  ///< all spans, all requests
+  std::vector<Tree> trees_;     ///< cursor slots, free-listed
+  std::vector<std::uint32_t> free_trees_;
+  std::vector<SpanNode> pool_;  ///< span slots, free-listed via `next`
+  std::uint32_t free_span_ = kNoSpan;
+  std::size_t live_spans_ = 0;
+  /// Per class ([0] static, [1] dynamic): the retained worst K as a heap
+  /// whose front is the retained request ranked last (next to evict).
+  std::vector<Candidate> kept_[2];
 };
 
 }  // namespace wsched::obs

@@ -33,6 +33,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -70,7 +71,9 @@ class Engine {
   /// Schedules `fn` at absolute time t (>= now; earlier times are clamped
   /// to now so floating-point-derived durations can't move time backwards).
   void schedule_at(Time t, Action fn);
-  void schedule_after(Time dt, Action fn) { schedule_at(now_ + dt, fn); }
+  void schedule_after(Time dt, Action fn) {
+    schedule_at(now_ + dt, std::move(fn));
+  }
 
   /// Zero-allocation scheduling for self-rescheduling callbacks: `fn(ctx)`
   /// runs at time t. The caller guarantees `ctx` outlives the event (the

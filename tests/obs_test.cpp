@@ -5,12 +5,15 @@
 // (so obs-off artifacts stay byte-identical to a build without the layer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -923,6 +926,191 @@ TEST(ObsSpans, FlowEventsPairUpInTrace) {
   const std::string plain = plain_sink.str();
   EXPECT_EQ(plain.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_EQ(plain.find("\"ph\":\"f\""), std::string::npos);
+}
+
+/// Expects two span summaries to agree field for field, exactly.
+void expect_same_summary(const obs::SpanSummary& a, const obs::SpanSummary& b) {
+  EXPECT_EQ(a.enabled, b.enabled);
+  EXPECT_EQ(a.closure_violations, b.closure_violations);
+  for (int cls = 0; cls < 2; ++cls) {
+    EXPECT_EQ(a.cls[cls].count, b.cls[cls].count) << "class " << cls;
+    EXPECT_EQ(a.cls[cls].sojourn_s, b.cls[cls].sojourn_s) << "class " << cls;
+    for (std::size_t ph = 0; ph < obs::kSpanPhaseCount; ++ph)
+      EXPECT_EQ(a.cls[cls].phase_s[ph], b.cls[cls].phase_s[ph])
+          << "class " << cls << " phase " << ph;
+  }
+}
+
+/// Spans in an exemplar dump (one entry per retained span).
+std::size_t dumped_spans(const JsonValue& dump) {
+  std::size_t n = 0;
+  for (const JsonValue& ex : dump.find("exemplars")->items)
+    n += ex.find("spans")->items.size();
+  return n;
+}
+
+TEST(ObsSpans, StreamingExemplarsMatchBruteForceSort) {
+  // Hook-level: requests terminate out of arrival order, stretches tie
+  // often (equal sojourn/demand pairs), some demands are zero and some
+  // requests never terminate. Freed chains are reused by later spans, so
+  // pool indices no longer ascend within a request. The retained worst K
+  // must equal the top K of a full (stretch desc, job asc) sort.
+  constexpr int kRetain = 4;
+  constexpr std::uint64_t kJobs = 240;
+  obs::SpanRecorder spans(kRetain);
+  std::mt19937 rng(12345);
+  const Time ms = from_seconds(0.001);
+  // A zero demand ranks by raw sojourn, i.e. as if the demand were 1 s.
+  const Time demands[] = {0, from_seconds(1.0), from_seconds(2.0)};
+  const Time sojourns[] = {10 * ms, 20 * ms, 40 * ms};
+  struct Expected {
+    bool dynamic;
+    Time arrival, demand, end;
+  };
+  std::vector<Expected> jobs(kJobs + 1);
+  for (std::uint64_t job = 1; job <= kJobs; ++job) {
+    Expected& e = jobs[job];
+    e.dynamic = rng() % 2 == 0;
+    e.arrival = static_cast<Time>(job) * ms;
+    e.demand = demands[rng() % 3];
+    e.end = e.arrival + sojourns[rng() % 3];
+    spans.on_arrival(job, e.arrival, e.dynamic, e.demand, 9);
+  }
+  std::vector<std::uint64_t> order;
+  for (std::uint64_t job = 1; job <= kJobs; ++job) order.push_back(job);
+  for (std::size_t i = order.size() - 1; i > 0; --i)
+    std::swap(order[i], order[rng() % (i + 1)]);
+  std::size_t in_flight = 0;
+  for (const std::uint64_t job : order) {
+    const Expected& e = jobs[job];
+    spans.begin_visit(job, e.arrival + 1 * ms, static_cast<int>(job % 5));
+    spans.cpu_run(job, e.arrival + 2 * ms);
+    if (job % 7 == 0) {  // stays in flight: root, visit and cpu slice
+      ++in_flight;
+      continue;
+    }
+    spans.cpu_wait(job, e.arrival + 3 * ms);
+    spans.disk_run(job, e.arrival + 4 * ms);
+    spans.note(job, "paging", e.arrival + 5 * ms, static_cast<int>(job));
+    spans.terminal(job, obs::SpanOutcome::kCompleted, e.end);
+  }
+
+  // Brute force: rank every terminated request, exactly as the old full
+  // sort did.
+  struct Ranked {
+    double stretch;
+    std::uint64_t job;
+  };
+  std::vector<Ranked> ranked[2];
+  for (std::uint64_t job = 1; job <= kJobs; ++job) {
+    if (job % 7 == 0) continue;
+    const Expected& e = jobs[job];
+    const double basis = e.demand > 0 ? to_seconds(e.demand) : 1.0;
+    ranked[e.dynamic ? 1 : 0].push_back(
+        {to_seconds(e.end - e.arrival) / basis, job});
+  }
+  for (auto& list : ranked)
+    std::sort(list.begin(), list.end(), [](const Ranked& a, const Ranked& b) {
+      if (a.stretch != b.stretch) return a.stretch > b.stretch;
+      return a.job < b.job;
+    });
+  // The sampled data must exercise ties and zero demand among the winners.
+  for (const auto& list : ranked) {
+    ASSERT_EQ(list[0].stretch, list[kRetain].stretch);
+    bool zero_demand = false;
+    for (int i = 0; i < kRetain; ++i)
+      zero_demand |= jobs[list[i].job].demand == 0;
+    ASSERT_TRUE(zero_demand);
+  }
+
+  for (int k = 0; k <= kRetain; ++k) {
+    const auto parsed = JsonParser(spans.exemplars_str(k)).parse();
+    ASSERT_TRUE(parsed.has_value()) << "k=" << k;
+    std::vector<std::uint64_t> want, got;
+    for (const auto& list : ranked)
+      for (int i = 0; i < k; ++i) want.push_back(list[i].job);
+    for (const JsonValue& ex : parsed->find("exemplars")->items) {
+      const auto job = static_cast<std::uint64_t>(ex.find("job")->number);
+      got.push_back(job);
+      EXPECT_NE(job % 7, 0u) << "in-flight job " << job << " dumped";
+      // The tree survived slot reuse: local ids ascend from 0 and each
+      // parent points at the span it was opened under.
+      const auto& list = ex.find("spans")->items;
+      ASSERT_EQ(list.size(), 5u) << "job " << job;
+      const char* names[] = {"request", "visit", "cpu", "disk", "paging"};
+      const int parents[] = {-1, 0, 1, 1, 1};
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(list[i].find("id")->number, i);
+        EXPECT_EQ(list[i].find("name")->text, names[i]);
+        EXPECT_EQ(list[i].find("parent")->number, parents[i]);
+      }
+      EXPECT_EQ(list[0].find("start_ns")->number,
+                static_cast<double>(jobs[job].arrival));
+      EXPECT_EQ(list[4].find("value")->number, static_cast<double>(job));
+    }
+    EXPECT_EQ(got, want) << "k=" << k;
+    if (k == kRetain) {
+      // Live spans: the in-flight chains plus the retained trees only.
+      EXPECT_EQ(spans.span_count(), 3 * in_flight + dumped_spans(*parsed));
+    }
+  }
+  EXPECT_THROW(spans.exemplars_str(kRetain + 1), std::invalid_argument);
+}
+
+TEST(ObsSpans, ClassChangeAfterTerminalIsIgnored) {
+  // A request's class and demand are final at terminal(): a late on_class
+  // moves neither the per-class ledger sums nor the exemplar ranking.
+  obs::SpanRecorder spans;
+  const Time ms = from_seconds(0.001);
+  spans.on_arrival(1, 0, true, 10 * ms, 0);
+  spans.on_arrival(2, 0, true, 10 * ms, 0);
+  spans.terminal(1, obs::SpanOutcome::kCompleted, 30 * ms);
+  spans.terminal(2, obs::SpanOutcome::kCompleted, 20 * ms);
+  const obs::SpanSummary summary = spans.summarize();
+  const std::string dump = spans.exemplars_str(3);
+
+  spans.on_class(2, false, 1 * ms);  // would outrank job 1 as static
+  expect_same_summary(spans.summarize(), summary);
+  EXPECT_EQ(spans.exemplars_str(3), dump);
+  EXPECT_EQ(summary.cls[1].count, 2u);
+}
+
+TEST(ObsSpans, LiveSpansStayBoundedOverLongRun) {
+  // 300 simulated seconds (~75k requests): spans are freed as requests
+  // finish, so what is held at the end is the retained worst K per class,
+  // and the pool never grew past the in-flight working set.
+  obs::SpanRecorder spans(3);
+  core::ExperimentSpec spec = obs_spec();
+  spec.duration_s = 300.0;
+  spec.observer.spans = &spans;
+  const auto result = core::run_experiment(spec);
+  ASSERT_EQ(outcome_count(spans, obs::SpanOutcome::kInFlight), 0u);
+
+  const auto parsed = JsonParser(spans.exemplars_str(3)).parse();
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_LE(parsed->find("exemplars")->items.size(), 6u);
+  EXPECT_EQ(spans.span_count(), dumped_spans(*parsed));
+  EXPECT_GT(result.run.submitted, 50'000u);
+  EXPECT_LT(spans.span_slots(), result.run.submitted / 50);
+}
+
+TEST(ObsSpans, LedgerOnlyRecorderSummarizesIdentically) {
+  // Retention 0 keeps the ledger and builds no tree: the same run yields
+  // the same decomposition as a tree-keeping recorder.
+  obs::SpanRecorder ledger(0), trees(3);
+  core::ExperimentSpec spec = obs_spec();
+  spec.lambda = 400;
+  spec.observer.spans = &ledger;
+  core::run_experiment(spec);
+  spec.observer.spans = &trees;
+  core::run_experiment(spec);
+  expect_same_summary(ledger.summarize(), trees.summarize());
+  EXPECT_EQ(ledger.span_count(), 0u);
+  EXPECT_EQ(ledger.span_slots(), 0u);
+  EXPECT_GT(trees.span_count(), 0u);
+  EXPECT_NE(ledger.exemplars_str(0).find("\"exemplars\": [\n  ]"),
+            std::string::npos);
+  EXPECT_THROW(ledger.exemplars_str(1), std::invalid_argument);
 }
 
 TEST(ObsSpans, SpansOffCostsUnderTenPercentOfEngineThroughput) {
