@@ -1,6 +1,7 @@
 #include "check/schedule.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -171,6 +172,11 @@ ChaosSchedule generate_schedule(std::uint64_t seed,
 
 std::string validate(const ChaosSchedule& s) {
   if (s.p < 2 || s.m < 1 || s.m >= s.p) return "need 2 <= m+1 <= p";
+  // A JSON 1e999 parses as infinity; an infinite (or NaN) horizon or rate
+  // would leave the trace generator looping forever.
+  if (!std::isfinite(s.horizon_s)) return "horizon_s must be finite";
+  if (!std::isfinite(s.warmup_s)) return "warmup_s must be finite";
+  if (!std::isfinite(s.lambda)) return "lambda must be finite";
   if (s.horizon_s <= s.warmup_s) return "horizon must exceed warmup";
   if (s.lambda <= 0.0) return "lambda must be > 0";
   if (s.autoscale && s.fault)

@@ -66,14 +66,24 @@ ClusterSim::ClusterSim(ClusterConfig config,
 }
 
 RunResult ClusterSim::run(const trace::Trace& trace) {
-  if (trace.records.empty()) return RunResult{};
+  trace::TraceCursor cursor(trace);
+  return run(cursor);
+}
+
+RunResult ClusterSim::run(trace::RecordSource& source) {
+  // The source is pulled one record ahead of the clock: `pending` is the
+  // next arrival, fetched before the current one is delivered.
+  trace::TraceRecord pending;
+  if (!source.next(pending)) return RunResult{};
+  // Capacity hint for the tables indexed by job id (never a bound).
+  const std::size_t expected_requests = source.size_hint() + 1;
   sim::Engine engine;
 
   // --- observability (all collectors optional; see obs/observer.hpp) ---
   obs::TraceSink* tracer = config_.obs.trace;
   obs::CounterRegistry* counters = config_.obs.counters;
   obs::SpanRecorder* spans = config_.obs.spans;
-  if (spans != nullptr) spans->reserve(trace.records.size() + 1);
+  if (spans != nullptr) spans->reserve(expected_requests);
   // Flow events ride the trace but only exist when spans are on, so a
   // span-off trace keeps its exact bytes.
   obs::TraceSink* flow = spans != nullptr ? tracer : nullptr;
@@ -480,10 +490,11 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
     metrics.set_deadlines(from_seconds(config_.overload.deadline.static_s),
                           from_seconds(config_.overload.deadline.dynamic_s));
 
-  std::uint64_t remaining = trace.records.size();
+  // Unsettled requests plus the pending record: zero exactly when the
+  // source is exhausted and every delivered request has settled.
+  std::uint64_t remaining = 1;
   std::uint64_t completed_jobs = 0;
-  RunResult result;
-  result.submitted = trace.records.size();
+  RunResult result;  // result.submitted counts deliveries
 
   // --- hedged dispatch (absent when disabled: no per-job state, no
   // timers, no dedup claims — byte-identical to a build without it) ---
@@ -496,8 +507,14 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
     bool launched = false;  ///< a copy was actually dispatched
     int primary_node = -1;  ///< node the primary occupies (-1 = in flight)
     int hedge_node = -1;    ///< node the copy occupies (-1 = none)
+    std::uint32_t origin = 0;  ///< slot in hedge_origins (until settled)
   };
   std::vector<HedgeState> hedge_state;
+  /// The request as it arrived (before any cache-hit demotion), which is
+  /// what a hedge copy re-routes. Held only while the request is
+  /// unsettled: slots are free-listed at settlement.
+  std::vector<trace::TraceRecord> hedge_origins;
+  std::vector<std::uint32_t> hedge_origin_free;
   /// First settlement wins: claim(id) succeeds exactly once per request,
   /// so a racing loser completion (finished before its cancellation
   /// landed) is dropped here and never double-counted.
@@ -516,7 +533,8 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
   TrailingQuantile hedge_stretch_dyn(0.95);
   TrailingQuantile hedge_stretch_stat(0.95);
   if (hedges_on) {
-    hedge_state.assign(trace.records.size() + 1, HedgeState{});
+    hedge_state.reserve(expected_requests);
+    hedge_state.emplace_back();  // job ids start at 1
     hedge_stretch_dyn.set_min_samples(16);
     hedge_stretch_stat.set_min_samples(16);
   }
@@ -546,6 +564,15 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
       obs::bump(c_hedge_cancelled);
     }
   };
+  /// A request leaves the system for good (completed, timed out, shed or
+  /// abandoned): its hedge origin is released, and the run stops once
+  /// nothing is pending or unsettled.
+  const auto settle = [&](std::uint64_t id) {
+    if (hedges_on)
+      hedge_origin_free.push_back(
+          hedge_state[static_cast<std::size_t>(id)].origin);
+    if (--remaining == 0) engine.stop();
+  };
 
   // --- overload-control layer (absent when every knob sits at its
   // disabled default: the run is bit-identical to a build without it) ---
@@ -574,7 +601,7 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
       if (flow != nullptr)
         flow->flow(obs::Category::kRequest, 'f', "req", cluster_pid,
                    obs::kLaneOverload, engine.now(), id);
-      if (--remaining == 0) engine.stop();
+      settle(id);
     });
     view.breakers = overload->breakers();
   }
@@ -673,7 +700,7 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
               caches[static_cast<std::size_t>(job.receiver)].insert(
                   job.request.url_id, completion);
           }
-          if (--remaining == 0) engine.stop();
+          settle(job.id);
         });
   }
 
@@ -720,7 +747,7 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
         if (flow != nullptr)
           flow->flow(obs::Category::kRequest, 'f', "req", cluster_pid,
                      obs::kLaneDispatch, engine.now(), job.id);
-        if (--remaining == 0) engine.stop();
+        settle(job.id);
         return;
       }
       ++redispatches;
@@ -869,7 +896,7 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
             if (flow != nullptr)
               flow->flow(obs::Category::kRequest, 'f', "req", cluster_pid,
                          obs::kLaneNet, engine.now(), job.id);
-            if (--remaining == 0) engine.stop();
+            settle(job.id);
           },
           /*tag=*/job.id);
     };
@@ -1242,10 +1269,9 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
         engine.schedule_after(recheck, [&, id] { hedge_fire(id); });
         return;
       }
-      // Job ids are dense and assigned in trace order, so the original
-      // (pre-cache-demotion) record is recoverable by index.
-      const trace::TraceRecord& rec =
-          trace.records[static_cast<std::size_t>(id - 1)];
+      // The original (pre-cache-demotion) record: the copy is routed as
+      // the request arrived, not as a cache hit may have rewritten it.
+      const trace::TraceRecord rec = hedge_origins[hs.origin];
       view.now = engine.now();
       view.exclude_node = hs.primary_node;
       view.hedge_route = true;
@@ -1472,7 +1498,7 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
         if (flow != nullptr)
           flow->flow(obs::Category::kRequest, 'f', "req", cluster_pid,
                      obs::kLaneOverload, engine.now(), job.id);
-        if (--remaining == 0) engine.stop();
+        settle(job.id);
         return;
       }
       ++job.attempts;
@@ -1503,21 +1529,35 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
     };
   }
 
-  // Arrival cursor: submits record i, then schedules record i+1. Keeps the
-  // event heap small regardless of trace length.
+  // Arrival cursor: delivers the pending record, then schedules the next
+  // one. The pull happens first, so exhaustion is known before the current
+  // request can settle; the event heap and the resident records stay
+  // small regardless of trace length.
   std::uint64_t next_id = 1;
-  std::size_t cursor = 0;
   std::function<void()> deliver = [&] {
-    const trace::TraceRecord& rec = trace.records[cursor];
+    const trace::TraceRecord rec = pending;
+    const bool more = source.next(pending);
+    if (more) ++remaining;  // the new pending record
     const auto schedule_next = [&] {
-      ++cursor;
-      if (cursor < trace.records.size())
-        engine.schedule_call(trace.records[cursor].arrival, &invoke_closure,
-                             &deliver);
+      if (more)
+        engine.schedule_call(pending.arrival, &invoke_closure, &deliver);
     };
     sim::Job job;
     job.id = next_id++;
     job.request = rec;
+    ++result.submitted;
+    if (hedges_on) {
+      HedgeState hs;
+      if (hedge_origin_free.empty()) {
+        hs.origin = static_cast<std::uint32_t>(hedge_origins.size());
+        hedge_origins.push_back(rec);
+      } else {
+        hs.origin = hedge_origin_free.back();
+        hedge_origin_free.pop_back();
+        hedge_origins[hs.origin] = rec;
+      }
+      hedge_state.push_back(hs);
+    }
     job.cluster_arrival = engine.now();
     if (spans != nullptr)
       spans->on_arrival(job.id, engine.now(), rec.is_dynamic(),
@@ -1546,9 +1586,7 @@ RunResult ClusterSim::run(const trace::Trace& trace) {
     route_and_submit(std::move(job));
     schedule_next();
   };
-  if (!trace.records.empty())
-    engine.schedule_call(trace.records.front().arrival, &invoke_closure,
-                         &deliver);
+  engine.schedule_call(pending.arrival, &invoke_closure, &deliver);
 
   engine.run();
 

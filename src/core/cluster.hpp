@@ -24,6 +24,7 @@
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 
 namespace wsched::core {
 
@@ -202,8 +203,14 @@ class ClusterSim {
  public:
   ClusterSim(ClusterConfig config, std::unique_ptr<Dispatcher> dispatcher);
 
-  /// Replays the trace to completion and returns aggregated results.
-  /// Deterministic in (config.seed, trace, dispatcher).
+  /// Replays the records `source` yields to completion and returns
+  /// aggregated results; an empty source returns RunResult{}. Records are
+  /// pulled one ahead of the simulated clock, so only the pending record
+  /// and in-flight requests are resident. Deterministic in (config.seed,
+  /// records, dispatcher).
+  RunResult run(trace::RecordSource& source);
+
+  /// Replays a materialized trace (a cursor over it, through the above).
   RunResult run(const trace::Trace& trace);
 
   const Dispatcher& dispatcher() const { return *dispatcher_; }

@@ -66,7 +66,9 @@ int msprime_k_from_model(const model::Workload& w) {
   return std::clamp(static_cast<int>(std::lround(share * w.p)), 1, w.p);
 }
 
-trace::Trace generate_trace(const ExperimentSpec& spec) {
+namespace {
+
+trace::GeneratorConfig generator_config(const ExperimentSpec& spec) {
   trace::GeneratorConfig gen;
   gen.profile = spec.profile;
   gen.lambda = spec.lambda;
@@ -80,28 +82,63 @@ trace::Trace generate_trace(const ExperimentSpec& spec) {
   gen.diurnal_amplitude = spec.diurnal_amplitude;
   gen.cgi_distinct_urls = spec.cgi_distinct_urls;
   gen.cgi_zipf_s = spec.cgi_zipf_s;
-  if (spec.flip_at_s <= 0.0 || spec.flip_at_s >= spec.duration_s)
-    return trace::generate(gen);
+  return gen;
+}
 
-  // Mid-run workload flip: segment one runs the base profile up to the
-  // flip instant, segment two runs flip_profile for the remainder on an
-  // independent seed stream, arrivals offset so the splice is seamless.
-  gen.duration_s = spec.flip_at_s;
-  trace::Trace trace = trace::generate(gen);
+bool flips(const ExperimentSpec& spec) {
+  return !(spec.flip_at_s <= 0.0 || spec.flip_at_s >= spec.duration_s);
+}
+
+/// Segment one: the whole run, or the base profile up to the flip.
+trace::GeneratorConfig head_config(const ExperimentSpec& spec) {
+  trace::GeneratorConfig gen = generator_config(spec);
+  if (flips(spec)) gen.duration_s = spec.flip_at_s;
+  return gen;
+}
+
+/// Segment two of a flip: flip_profile for the remainder, on an
+/// independent seed stream.
+trace::GeneratorConfig tail_config(const ExperimentSpec& spec) {
+  trace::GeneratorConfig gen = generator_config(spec);
   gen.profile = spec.flip_profile;
   gen.duration_s = spec.duration_s - spec.flip_at_s;
   gen.seed = spec.seed ^ 0x9E3779B97F4A7C15ULL;
-  trace::Trace tail = trace::generate(gen);
-  const Time offset = from_seconds(spec.flip_at_s);
-  trace.records.reserve(trace.records.size() + tail.records.size());
-  for (auto& rec : tail.records) {
-    rec.arrival += offset;
-    trace.records.push_back(rec);
+  return gen;
+}
+
+}  // namespace
+
+ReplayStream::ReplayStream(const ExperimentSpec& spec)
+    : head_(head_config(spec)) {
+  if (flips(spec)) {
+    tail_.emplace(tail_config(spec));
+    offset_ = from_seconds(spec.flip_at_s);
   }
-  return trace;
+}
+
+bool ReplayStream::next(trace::TraceRecord& out) {
+  if (head_.next(out)) return true;
+  if (!tail_ || !tail_->next(out)) return false;
+  out.arrival += offset_;  // splice seamlessly after segment one
+  return true;
+}
+
+std::size_t ReplayStream::size_hint() const {
+  return head_.size_hint() + (tail_ ? tail_->size_hint() : 0);
+}
+
+trace::Trace generate_trace(const ExperimentSpec& spec) {
+  ReplayStream stream(spec);
+  return trace::materialize(stream);
 }
 
 ExperimentResult run_experiment(const ExperimentSpec& spec) {
+  ReplayStream stream(spec);
+  return run_experiment(spec, stream);
+}
+
+ExperimentResult run_experiment(const ExperimentSpec& spec,
+                                trace::RecordSource& source) {
   const model::Workload analytic = analytic_workload(spec);
 
   ClusterConfig config;
@@ -142,8 +179,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   config.reservation.initial_r = spec.r;
   config.reservation.initial_a = analytic.a;
   config.initial_dynamic_demand_s = 1.0 / (spec.r * spec.mu_h);
-
-  const trace::Trace trace = generate_trace(spec);
 
   MsOptions ms_options;
   ms_options.rsrc_tolerance = spec.rsrc_tolerance;
@@ -219,7 +254,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   result.scheduler =
       spec.dispatcher_factory ? dispatcher->name() : to_string(spec.kind);
   ClusterSim cluster(config, std::move(dispatcher));
-  result.run = cluster.run(trace);
+  result.run = cluster.run(source);
   result.m_used = config.m;
   result.k_used = k;
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "obs/observer.hpp"
 #include "trace/generator.hpp"
 #include "trace/profile.hpp"
+#include "trace/source.hpp"
 
 namespace wsched::core {
 
@@ -139,14 +141,37 @@ struct ExperimentResult {
   obs::SpanSummary spans;
 };
 
-/// The input trace for a spec — including the mid-run workload flip and
-/// diurnal modulation when configured. Deterministic in the spec; exposed
-/// so tests and drills can inspect the exact trace a run will replay.
+/// The input records for a spec as a pull stream — including diurnal
+/// modulation and the mid-run workload flip when configured: segment one
+/// (the base profile up to flip_at_s) is drained first, then segment two
+/// (flip_profile on an independent seed stream) is yielded shifted by
+/// flip_at_s. Throws std::invalid_argument for an invalid workload.
+class ReplayStream final : public trace::RecordSource {
+ public:
+  explicit ReplayStream(const ExperimentSpec& spec);
+
+  bool next(trace::TraceRecord& out) override;
+  std::size_t size_hint() const override;
+
+ private:
+  trace::TraceGenerator head_;
+  std::optional<trace::TraceGenerator> tail_;  ///< flip segment, if any
+  Time offset_ = 0;                            ///< flip_at_s
+};
+
+/// The input trace for a spec: ReplayStream drained into a vector.
+/// Deterministic in the spec; exposed so tests and drills can inspect the
+/// exact trace a run will replay.
 trace::Trace generate_trace(const ExperimentSpec& spec);
 
-/// Generates the trace for the spec and replays it through the configured
+/// Streams the spec's records (ReplayStream) through the configured
 /// cluster. Deterministic in the spec.
 ExperimentResult run_experiment(const ExperimentSpec& spec);
+
+/// Replays `source` instead of the spec's own records, through the
+/// cluster the spec configures.
+ExperimentResult run_experiment(const ExperimentSpec& spec,
+                                trace::RecordSource& source);
 
 /// Convenience: the improvement ratio of `better` over `worse`
 /// (stretch_worse / stretch_better - 1), the quantity plotted in Figure 4

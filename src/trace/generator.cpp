@@ -68,119 +68,128 @@ double specweb_mean_bytes() {
   return mean;
 }
 
-Trace generate(const GeneratorConfig& config) {
-  if (config.lambda <= 0) throw std::invalid_argument("lambda must be > 0");
-  if (config.duration_s <= 0)
-    throw std::invalid_argument("duration must be > 0");
-  if (config.r <= 0 || config.mu_h <= 0)
-    throw std::invalid_argument("service rates must be > 0");
+namespace {
+
+/// Mean flash-phase residence time (seconds); flash phases are short.
+constexpr double kFlashHold = 0.5;
+
+const GeneratorConfig& validated(const GeneratorConfig& config) {
+  // Written as !(x > 0) so NaN fails too; an infinite rate or horizon
+  // would otherwise loop forever (zero gaps, or no end of trace).
+  if (!(config.lambda > 0) || !std::isfinite(config.lambda))
+    throw std::invalid_argument("lambda must be finite and > 0");
+  if (!(config.duration_s > 0) || !std::isfinite(config.duration_s))
+    throw std::invalid_argument("duration must be finite and > 0");
+  if (!(config.r > 0) || !(config.mu_h > 0) || !std::isfinite(config.r) ||
+      !std::isfinite(config.mu_h))
+    throw std::invalid_argument("service rates must be finite and > 0");
   if (config.diurnal &&
       (config.diurnal_amplitude < 0.0 || config.diurnal_amplitude > 1.0 ||
        config.diurnal_period_s <= 0.0))
     throw std::invalid_argument(
         "diurnal amplitude must be in [0, 1] and period > 0");
+  return config;
+}
 
-  // Independent streams: arrivals, class choice, static sizing, dynamic
-  // sizing, demands — so changing one aspect of the generator never
-  // perturbs the draws of the others.
-  Rng arrivals(config.seed, 0x41);
-  Rng classes(config.seed, 0x42);
-  Rng static_draw(config.seed, 0x43);
-  Rng dynamic_draw(config.seed, 0x44);
-  Rng demand_draw(config.seed, 0x45);
+}  // namespace
 
-  // Zipf popularity over distinct dynamic content items.
-  std::optional<ZipfSampler> zipf;
-  if (config.cgi_distinct_urls > 0)
-    zipf.emplace(config.cgi_distinct_urls, config.cgi_zipf_s);
-  std::uint64_t unique_url = 1'000'000'000ULL;
+TraceGenerator::TraceGenerator(const GeneratorConfig& config)
+    : config_(validated(config)),
+      arrivals_(config.seed, 0x41),
+      classes_(config.seed, 0x42),
+      static_draw_(config.seed, 0x43),
+      dynamic_draw_(config.seed, 0x44),
+      demand_draw_(config.seed, 0x45) {
+  if (config_.cgi_distinct_urls > 0)
+    zipf_.emplace(config_.cgi_distinct_urls, config_.cgi_zipf_s);
 
-  const SpecWebFileSet files;
   // Normalizer for size-coupled static demand: the expected size actually
   // served for THIS profile (intended lognormal pushed through the closest-
   // file substitution), so that E[static demand] == 1/mu_h holds exactly.
-  const double expected_bytes =
-      expected_substituted_bytes(config.profile.html_mean_bytes, 1.2);
-  const double static_mean_demand = 1.0 / config.mu_h;
-  const double dynamic_mean_demand = 1.0 / (config.r * config.mu_h);
+  expected_bytes_ =
+      expected_substituted_bytes(config_.profile.html_mean_bytes, 1.2);
+  static_mean_demand_ = 1.0 / config_.mu_h;
+  dynamic_mean_demand_ = 1.0 / (config_.r * config_.mu_h);
 
   // MMPP phase bookkeeping: the calm-phase rate is chosen so the long-run
   // average equals lambda given the multiplier and flash time fraction.
-  const double flash_mult = config.burst_rate_multiplier;
-  const double flash_frac = config.burst_fraction;
+  const double flash_mult = config_.burst_rate_multiplier;
+  const double flash_frac = config_.burst_fraction;
   // Diurnal thinning envelope: gaps are drawn at rate * (1 + A) and each
   // arrival is kept with probability lambda(t) / envelope, which leaves
   // the arrival stream untouched (no extra draws) when diurnal is off.
-  const double diurnal_env =
-      config.diurnal ? 1.0 + config.diurnal_amplitude : 1.0;
-  const double calm_rate =
-      (config.bursty
-           ? config.lambda / (1.0 - flash_frac + flash_frac * flash_mult)
-           : config.lambda) *
-      diurnal_env;
-  const double flash_rate = calm_rate * flash_mult;
-  // Mean phase residence times (seconds); flash phases are short.
-  const double flash_hold = 0.5;
-  const double calm_hold = flash_frac > 0 && config.bursty
-                               ? flash_hold * (1.0 - flash_frac) / flash_frac
-                               : 1e30;
-  bool in_flash = false;
-  double phase_left = config.bursty ? arrivals.exponential(calm_hold) : 1e30;
+  diurnal_env_ = config_.diurnal ? 1.0 + config_.diurnal_amplitude : 1.0;
+  calm_rate_ =
+      (config_.bursty
+           ? config_.lambda / (1.0 - flash_frac + flash_frac * flash_mult)
+           : config_.lambda) *
+      diurnal_env_;
+  flash_rate_ = calm_rate_ * flash_mult;
+  calm_hold_ = flash_frac > 0 && config_.bursty
+                   ? kFlashHold * (1.0 - flash_frac) / flash_frac
+                   : 1e30;
+  phase_left_ = config_.bursty ? arrivals_.exponential(calm_hold_) : 1e30;
+}
 
-  Trace trace;
-  trace.records.reserve(
-      static_cast<std::size_t>(config.lambda * config.duration_s * 1.1) + 16);
+std::size_t TraceGenerator::size_hint() const {
+  // Clamped so an absurd (finite) horizon stays a defined conversion.
+  return static_cast<std::size_t>(std::min(
+             config_.lambda * config_.duration_s * 1.1, 4.0e9)) +
+         16;
+}
 
-  double now_s = 0.0;
-  while (true) {
-    double rate = in_flash ? flash_rate : calm_rate;
-    double gap = arrivals.exponential(1.0 / rate);
-    if (config.bursty) {
+bool TraceGenerator::next(TraceRecord& out) {
+  while (!done_) {
+    double rate = in_flash_ ? flash_rate_ : calm_rate_;
+    double gap = arrivals_.exponential(1.0 / rate);
+    if (config_.bursty) {
       // Advance through phase switches; arrival rate changes mid-gap are
       // approximated by re-drawing the remainder at the new rate.
-      while (gap > phase_left) {
-        now_s += phase_left;
+      while (gap > phase_left_) {
+        now_s_ += phase_left_;
         gap = 0.0;
-        in_flash = !in_flash;
-        phase_left =
-            arrivals.exponential(in_flash ? flash_hold : calm_hold);
-        rate = in_flash ? flash_rate : calm_rate;
-        gap = arrivals.exponential(1.0 / rate);
+        in_flash_ = !in_flash_;
+        phase_left_ = arrivals_.exponential(in_flash_ ? kFlashHold : calm_hold_);
+        rate = in_flash_ ? flash_rate_ : calm_rate_;
+        gap = arrivals_.exponential(1.0 / rate);
       }
-      phase_left -= gap;
+      phase_left_ -= gap;
     }
-    now_s += gap;
-    if (now_s >= config.duration_s) break;
-    if (config.diurnal) {
+    now_s_ += gap;
+    if (now_s_ >= config_.duration_s) {
+      done_ = true;
+      break;
+    }
+    if (config_.diurnal) {
       const double mod =
-          1.0 + config.diurnal_amplitude *
-                    std::sin(2.0 * 3.14159265358979323846 * now_s /
-                             config.diurnal_period_s);
-      if (!arrivals.bernoulli(mod / diurnal_env)) continue;
+          1.0 + config_.diurnal_amplitude *
+                    std::sin(2.0 * 3.14159265358979323846 * now_s_ /
+                             config_.diurnal_period_s);
+      if (!arrivals_.bernoulli(mod / diurnal_env_)) continue;
     }
 
+    const WorkloadProfile& profile = config_.profile;
     TraceRecord rec;
-    rec.arrival = from_seconds(now_s);
-    const bool dynamic = classes.bernoulli(config.profile.cgi_fraction);
+    rec.arrival = from_seconds(now_s_);
+    const bool dynamic = classes_.bernoulli(profile.cgi_fraction);
     if (dynamic) {
       rec.cls = RequestClass::kDynamic;
       rec.size_bytes = static_cast<std::uint32_t>(std::max(
-          64.0, dynamic_draw.lognormal_mean(config.profile.cgi_mean_bytes,
-                                            config.profile.cgi_size_sigma)));
+          64.0, dynamic_draw_.lognormal_mean(profile.cgi_mean_bytes,
+                                             profile.cgi_size_sigma)));
       // Exponential service (the queueing model's assumption), mean
       // 1/(r*mu_h) — this is what WebSTONE spin / WebGlimpse / ADL loads
       // were tuned to in the paper.
       rec.service_demand =
-          from_seconds(demand_draw.exponential(dynamic_mean_demand));
-      double w_mean = config.profile.cgi_cpu_fraction;
-      if (!config.profile.cgi_types.empty()) {
-        double u = dynamic_draw.uniform();
+          from_seconds(demand_draw_.exponential(dynamic_mean_demand_));
+      double w_mean = profile.cgi_cpu_fraction;
+      if (!profile.cgi_types.empty()) {
+        double u = dynamic_draw_.uniform();
         double total = 0.0;
-        for (const auto& type : config.profile.cgi_types)
-          total += type.weight;
+        for (const auto& type : profile.cgi_types) total += type.weight;
         u *= total;
-        w_mean = config.profile.cgi_types.back().cpu_fraction;
-        for (const auto& type : config.profile.cgi_types) {
+        w_mean = profile.cgi_types.back().cpu_fraction;
+        for (const auto& type : profile.cgi_types) {
           if (u < type.weight) {
             w_mean = type.cpu_fraction;
             break;
@@ -189,40 +198,44 @@ Trace generate(const GeneratorConfig& config) {
         }
       }
       rec.cpu_fraction = std::clamp(
-          dynamic_draw.normal(w_mean, config.profile.cgi_cpu_spread),
-          0.05, 0.95);
-      rec.mem_pages = clamp_pages(dynamic_draw.lognormal_mean(
-          config.profile.cgi_mem_pages_mean,
-          config.profile.cgi_mem_pages_sigma));
-      rec.url_id = zipf ? 1 + zipf->sample(dynamic_draw) : unique_url++;
+          dynamic_draw_.normal(w_mean, profile.cgi_cpu_spread), 0.05, 0.95);
+      rec.mem_pages = clamp_pages(dynamic_draw_.lognormal_mean(
+          profile.cgi_mem_pages_mean, profile.cgi_mem_pages_sigma));
+      rec.url_id = zipf_ ? 1 + zipf_->sample(dynamic_draw_) : unique_url_++;
     } else {
       rec.cls = RequestClass::kStatic;
       // Intended size from the profile's HTML distribution, substituted by
       // the closest SPECweb96 file (the paper's replay rule).
-      const double intended = static_draw.lognormal_mean(
-          config.profile.html_mean_bytes, 1.2);
-      const int file_idx = files.closest_file(static_cast<std::uint32_t>(
+      const double intended =
+          static_draw_.lognormal_mean(profile.html_mean_bytes, 1.2);
+      const int file_idx = files_.closest_file(static_cast<std::uint32_t>(
           std::clamp(intended, 64.0, 1.0e6)));
-      rec.size_bytes = files.file(file_idx).size_bytes;
-      if (config.size_coupled_static) {
+      rec.size_bytes = files_.file(file_idx).size_bytes;
+      if (config_.size_coupled_static) {
         // Demand tracks the substituted size with a protocol-processing
         // floor; normalized so E[demand] == 1/mu_h for this profile.
         rec.service_demand = from_seconds(
-            static_mean_demand *
-            (0.3 + 0.7 * rec.size_bytes / expected_bytes));
+            static_mean_demand_ *
+            (0.3 + 0.7 * rec.size_bytes / expected_bytes_));
       } else {
         rec.service_demand =
-            from_seconds(demand_draw.exponential(static_mean_demand));
+            from_seconds(demand_draw_.exponential(static_mean_demand_));
       }
-      rec.cpu_fraction = config.profile.static_cpu_fraction;
+      rec.cpu_fraction = profile.static_cpu_fraction;
       rec.mem_pages = clamp_pages(rec.size_bytes / kPageBytes + 1.0);
       // Static content identity is the served file.
       rec.url_id = static_cast<std::uint64_t>(file_idx) + 1;
     }
     if (rec.service_demand <= 0) rec.service_demand = 1;  // never free
-    trace.records.push_back(rec);
+    out = rec;
+    return true;
   }
-  return trace;
+  return false;
+}
+
+Trace generate(const GeneratorConfig& config) {
+  TraceGenerator stream(config);
+  return materialize(stream);
 }
 
 void rescale_to_rate(Trace& trace, double lambda) {

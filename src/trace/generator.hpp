@@ -8,11 +8,14 @@
 // mean demand is 1/(r * mu_h) with the profile's CPU/IO split.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "trace/fileset.hpp"
 #include "trace/profile.hpp"
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 #include "util/rng.hpp"
 
 namespace wsched::trace {
@@ -20,7 +23,8 @@ namespace wsched::trace {
 struct GeneratorConfig {
   WorkloadProfile profile;
   /// Target total arrival rate in requests/second (the paper's scaled
-  /// replay rate lambda). Must be > 0.
+  /// replay rate lambda). Must be finite and > 0, as must duration_s,
+  /// mu_h and r.
   double lambda = 1000.0;
   /// Trace length in (simulated) seconds of arrivals.
   double duration_s = 10.0;
@@ -57,7 +61,51 @@ struct GeneratorConfig {
 /// normalized by this so E[static demand] == 1/mu_h regardless of coupling.
 double specweb_mean_bytes();
 
-/// Generates a trace; deterministic in (config, seed).
+/// The generator as a pull stream: yields, one record per next(), exactly
+/// the records generate() returns, while holding only the generator state
+/// (five RNG streams, the Zipf sampler, the MMPP phase and the clock).
+/// Deterministic in (config, seed).
+class TraceGenerator final : public RecordSource {
+ public:
+  /// Throws std::invalid_argument for an invalid config, including any
+  /// non-finite lambda, duration_s, mu_h or r.
+  explicit TraceGenerator(const GeneratorConfig& config);
+
+  bool next(TraceRecord& out) override;
+  /// lambda * duration_s * 1.1 + 16: the expected count with headroom.
+  std::size_t size_hint() const override;
+
+ private:
+  GeneratorConfig config_;
+  // Independent streams: arrivals, class choice, static sizing, dynamic
+  // sizing, demands — so changing one aspect of the generator never
+  // perturbs the draws of the others.
+  Rng arrivals_;
+  Rng classes_;
+  Rng static_draw_;
+  Rng dynamic_draw_;
+  Rng demand_draw_;
+  /// Zipf popularity over distinct dynamic content items (absent when
+  /// every dynamic request is unique).
+  std::optional<ZipfSampler> zipf_;
+  std::uint64_t unique_url_ = 1'000'000'000ULL;
+  SpecWebFileSet files_;
+  double expected_bytes_;
+  double static_mean_demand_;
+  double dynamic_mean_demand_;
+  // MMPP and diurnal-envelope rates (see the constructor).
+  double diurnal_env_;
+  double calm_rate_;
+  double flash_rate_;
+  double calm_hold_;
+  bool in_flash_ = false;
+  double phase_left_;
+  double now_s_ = 0.0;
+  bool done_ = false;
+};
+
+/// Generates a trace by draining a TraceGenerator; deterministic in
+/// (config, seed).
 Trace generate(const GeneratorConfig& config);
 
 /// Rescales an existing trace's inter-arrival times so that its overall

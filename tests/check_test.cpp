@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -147,6 +148,48 @@ TEST(Schedule, ValidateCatchesIllegalCompositions) {
   ChaosSchedule lam;
   lam.lambda = 0.0;
   EXPECT_NE(validate(lam), "");
+}
+
+std::string read_corpus(const std::string& name) {
+  std::ifstream in(std::filesystem::path(WSCHED_CHAOS_CORPUS_DIR) / name);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// `json` with the number value of `field` rewritten to `value`.
+std::string with_number(std::string json, const std::string& field,
+                        const std::string& value) {
+  const std::string key = "\"" + field + "\": ";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return json;
+  const std::size_t from = at + key.size();
+  json.replace(from, json.find_first_of(",}", from) - from, value);
+  return json;
+}
+
+// A JSON 1e999 parses as infinity. A schedule carrying one in its rate or
+// horizon used to pass validation and hang the replay inside the trace
+// generator; it is now refused up front with the validation message.
+TEST(Schedule, NonFiniteWorkloadIsRejected) {
+  const std::string corpus = read_corpus("seed-15.json");
+  ASSERT_FALSE(corpus.empty());
+  for (const std::string field : {"lambda", "horizon_s", "warmup_s"}) {
+    const ChaosSchedule s =
+        schedule_from_json(with_number(corpus, field, "1e999"));
+    EXPECT_EQ(validate(s), field + " must be finite");
+    const ChaosOutcome outcome = run_schedule(s);
+    EXPECT_FALSE(outcome.ok());
+    EXPECT_NE(outcome.error.find(field + " must be finite"),
+              std::string::npos)
+        << outcome.error;
+  }
+  ChaosSchedule nan;
+  nan.lambda = std::nan("");
+  EXPECT_EQ(validate(nan), "lambda must be finite");
+  nan = ChaosSchedule{};
+  nan.horizon_s = std::nan("");
+  EXPECT_EQ(validate(nan), "horizon_s must be finite");
 }
 
 // --- Invariant registry -------------------------------------------------

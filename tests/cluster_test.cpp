@@ -6,12 +6,18 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <vector>
 
+#include "check/runner.hpp"
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
+#include "harness/artifacts.hpp"
+#include "harness/sweep.hpp"
 #include "model/optimize.hpp"
 #include "trace/generator.hpp"
 #include "trace/profile.hpp"
+#include "trace/source.hpp"
 
 namespace wsched::core {
 namespace {
@@ -361,6 +367,184 @@ TEST(Hedge, InvalidConfigThrows) {
   spec.hedge.enabled = true;
   spec.hedge.delay_factor = 0.0;
   EXPECT_THROW(run_experiment(spec), std::invalid_argument);
+}
+
+// --- Streamed replay ---
+
+/// The chaos runner's canonical full-schema row hash of one result.
+std::uint64_t row_hash(const ExperimentResult& result) {
+  harness::ResultRow row;
+  harness::append_metrics(row, result);
+  harness::append_net_metrics(row, result);
+  harness::append_ctrl_metrics(row, result);
+  harness::append_gray_metrics(row, result);
+  harness::append_span_metrics(row, result);
+  return check::fnv1a(harness::csv_string({row}));
+}
+
+/// run_experiment streams the spec's records; replaying the materialized
+/// trace through the same cluster must give the identical row.
+void expect_stream_matches_materialized(const ExperimentSpec& spec) {
+  const ExperimentResult streamed = run_experiment(spec);
+  const trace::Trace trace = generate_trace(spec);
+  trace::TraceCursor cursor(trace);
+  const ExperimentResult materialized = run_experiment(spec, cursor);
+  EXPECT_EQ(streamed.run.submitted, trace.size());
+  EXPECT_EQ(streamed.run.events, materialized.run.events);
+  EXPECT_EQ(row_hash(streamed), row_hash(materialized));
+}
+
+TEST(StreamedReplay, AllOffMatchesMaterializedTrace) {
+  expect_stream_matches_materialized(small_spec(SchedulerKind::kMs));
+}
+
+TEST(StreamedReplay, EveryRuntimeLayerMatchesMaterializedTrace) {
+  ExperimentSpec spec = hedge_spec(13);
+  spec.fault.mttf_s = 20.0;
+  spec.fault.mttr_s = 2.0;
+  spec.slow_health.enabled = true;
+  spec.net.enabled = true;
+  spec.net.loss = 0.01;
+  spec.overload.deadline.static_s = 2.0;
+  spec.overload.deadline.dynamic_s = 5.0;
+  spec.overload.breaker.enabled = true;
+  spec.overload.breaker.queue_trip = 64.0;
+  spec.ctrl.enabled = true;
+  spec.obs.spans = true;
+  spec.flip_at_s = 3.0;  // the flip splice streams too
+  spec.flip_profile = trace::ucb_profile();
+  const ExperimentResult result = run_experiment(spec);
+  ASSERT_GT(result.run.hedges_launched, 0u);
+  ASSERT_TRUE(result.spans.enabled);
+  expect_stream_matches_materialized(spec);
+}
+
+TEST(StreamedReplay, HedgedCacheHitsMatchMaterializedTrace) {
+  // A hedge copy re-routes the request as it arrived, before any cache-hit
+  // demotion — the record the cluster keeps per unsettled request.
+  ExperimentSpec spec = hedge_spec(17);
+  spec.cgi_cache_entries = 256;
+  spec.cgi_distinct_urls = 200;
+  spec.hedge.hedge_static = true;
+  spec.hedge.delay_s = 0.02;
+  spec.fault.mttf_s = 10.0;
+  spec.fault.mttr_s = 1.0;
+  const ExperimentResult result = run_experiment(spec);
+  ASSERT_GT(result.run.cache_hits, 0u);
+  ASSERT_GT(result.run.hedges_launched, 0u);
+  expect_stream_matches_materialized(spec);
+}
+
+TEST(StreamedReplay, SettlingInsideDeliveryDoesNotEndTheRunEarly) {
+  // Every node dies for good at 1 s; once the outage is detected, each
+  // arrival times out inside its own delivery (no redispatch allowed).
+  // The run must still deliver every record: the next one is pulled
+  // before the current request can settle, so `remaining` never reads
+  // zero while records are left.
+  ExperimentSpec spec = small_spec(SchedulerKind::kMs);
+  spec.duration_s = 3.0;
+  spec.fault.enabled = true;
+  spec.fault.max_redispatch = 0;
+  for (int node = 0; node < spec.p; ++node)
+    spec.fault.script.push_back(
+        {from_seconds(1.0), node, fault::FaultKind::kCrash, 1.0, 1.0});
+  const ExperimentResult result = run_experiment(spec);
+  const RunResult& r = result.run;
+  EXPECT_EQ(r.submitted, generate_trace(spec).size());
+  EXPECT_GT(r.timeouts, r.submitted / 4);
+  EXPECT_EQ(r.completed + r.timeouts + r.shed + r.abandoned, r.submitted);
+}
+
+/// A source that never yields.
+class EmptySource final : public trace::RecordSource {
+ public:
+  bool next(trace::TraceRecord&) override { return false; }
+  std::size_t size_hint() const override { return 0; }
+};
+
+TEST(StreamedReplay, EmptyStreamReturnsDefaultResult) {
+  ClusterConfig config;
+  config.p = 4;
+  config.m = 1;
+  config.hedge.enabled = true;
+  ClusterSim cluster(config, make_ms());
+  EmptySource empty;
+  const RunResult result = cluster.run(empty);
+  EXPECT_EQ(result.submitted, 0u);
+  EXPECT_EQ(result.completed, 0u);
+  EXPECT_EQ(result.events, 0u);
+  EXPECT_EQ(result.sim_seconds, 0.0);
+  EXPECT_FALSE(result.hedging_enabled);
+}
+
+/// What the cluster had done when each record was pulled.
+struct PullLog {
+  Time routed_at = -1;  ///< simulated time of the latest route() call
+  std::uint64_t routed = 0;
+  std::vector<Time> arrivals;  ///< arrival of the i-th pulled record
+  std::vector<Time> routed_at_pull;
+  std::vector<std::uint64_t> routed_before_pull;
+};
+
+/// Counts pulls and, at each one, notes how far routing had progressed.
+class CountingSource final : public trace::RecordSource {
+ public:
+  CountingSource(trace::RecordSource& inner, PullLog& log)
+      : inner_(inner), log_(log) {}
+  bool next(trace::TraceRecord& out) override {
+    if (!inner_.next(out)) return false;
+    log_.arrivals.push_back(out.arrival);
+    log_.routed_at_pull.push_back(log_.routed_at);
+    log_.routed_before_pull.push_back(log_.routed);
+    return true;
+  }
+  std::size_t size_hint() const override { return inner_.size_hint(); }
+
+ private:
+  trace::RecordSource& inner_;
+  PullLog& log_;
+};
+
+/// Flat dispatch that logs the simulated time of every route() call.
+class LoggingDispatcher final : public Dispatcher {
+ public:
+  explicit LoggingDispatcher(PullLog& log) : log_(log) {}
+  Decision route(const trace::TraceRecord& request,
+                 ClusterView& view) override {
+    log_.routed_at = view.now;
+    ++log_.routed;
+    return inner_->route(request, view);
+  }
+  std::string name() const override { return "logging-flat"; }
+
+ private:
+  PullLog& log_;
+  std::unique_ptr<Dispatcher> inner_ = make_flat();
+};
+
+TEST(StreamedReplay, PullsOneRecordAheadOfTheClock) {
+  ExperimentSpec spec = small_spec(SchedulerKind::kFlat);
+  spec.duration_s = 2.0;
+  PullLog log;
+  spec.dispatcher_factory = [&log] {
+    return std::make_unique<LoggingDispatcher>(log);
+  };
+  ReplayStream stream(spec);
+  CountingSource counting(stream, log);
+  const ExperimentResult result = run_experiment(spec, counting);
+  const std::size_t pulled = log.arrivals.size();
+  ASSERT_GT(pulled, 100u);
+  EXPECT_EQ(result.run.submitted, pulled);
+  EXPECT_EQ(log.routed, pulled);  // flat routes each request exactly once
+  for (std::size_t i = 0; i < pulled; ++i) {
+    // Record i (0-based) is pulled while record i-1 is being delivered:
+    // records up to i-2 have been routed, so the clock has reached record
+    // i-2's arrival and nothing past i-1 has been read.
+    EXPECT_EQ(log.routed_before_pull[i], i < 1 ? 0 : i - 1) << i;
+    if (i >= 2) {
+      EXPECT_GE(log.routed_at_pull[i], log.arrivals[i - 2]) << i;
+    }
+  }
 }
 
 TEST(Improvement, Definition) {

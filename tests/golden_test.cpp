@@ -1,8 +1,9 @@
 // Golden-artifact anchors for the hot-path engine rebuild: the refactor
 // (event calendar, pooled processes, SoA load state, batched obs) promises
 // byte-identical behavior, so these tests pin seed-era output hashes for
-// one M/S grid point and one ctrl-enabled observability run. Any change to
-// event ordering, RNG draw sequence or artifact formatting trips them.
+// one M/S grid point, one ctrl-enabled observability run and one hedged
+// run over the CGI cache. Any change to event ordering, RNG draw sequence
+// or artifact formatting trips them.
 //
 // To re-pin after an *intentional* semantic change, run with
 // WSCHED_PRINT_GOLDEN=1 and copy the printed constants.
@@ -46,6 +47,14 @@ constexpr double kCtrlStretch = 1.7674564679738916;
 constexpr std::uint64_t kCtrlEvents = 3378;
 constexpr std::uint64_t kCtrlTraceHash = 3963131497190702515ull;
 constexpr std::uint64_t kCtrlDecisionsHash = 12732148973856617977ull;
+// Hedged dispatch over the CGI cache under crash and fail-slow churn
+// (same grid point). A hedge copy re-routes the request as it arrived,
+// before any cache-hit demotion. Pinned from a replay that held the whole
+// trace in memory, so a streamed replay that keeps the wrong per-request
+// record routes some copy differently and trips the trace hash.
+constexpr double kHedgeStretch = 19.437547233516611;
+constexpr std::uint64_t kHedgeEvents = 3822;
+constexpr std::uint64_t kHedgeTraceHash = 6873655822442740592ull;
 
 core::ExperimentSpec grid_point_spec() {
   core::ExperimentSpec spec;
@@ -117,6 +126,37 @@ TEST(GoldenArtifacts, CtrlEnabledRunIsBitStable) {
   EXPECT_EQ(result.run.events, kCtrlEvents);
   EXPECT_EQ(trace_hash, kCtrlTraceHash);
   EXPECT_EQ(decisions_hash, kCtrlDecisionsHash);
+}
+
+TEST(GoldenArtifacts, HedgedCacheRunIsBitStable) {
+  obs::ChromeTraceSink sink;
+  core::ExperimentSpec spec = grid_point_spec();
+  spec.fault.enabled = true;
+  spec.fault.mttf_s = 4.0;
+  spec.fault.mttr_s = 0.5;
+  spec.fault.degrade_mttf_s = 1.0;
+  spec.fault.degrade_mttr_s = 0.5;
+  spec.fault.degrade_cpu_factor = 0.1;
+  spec.hedge.enabled = true;
+  spec.hedge.hedge_static = true;
+  spec.hedge.delay_s = 0.02;
+  spec.cgi_cache_entries = 256;
+  spec.cgi_distinct_urls = 200;
+  spec.observer.trace = &sink;
+  const auto result = core::run_experiment(spec);
+
+  const std::uint64_t trace_hash = fnv1a(sink.str());
+  if (print_golden()) {
+    std::printf("hedge-cache: stretch=%.17g events=%llu trace=%llux\n",
+                result.run.metrics.stretch,
+                static_cast<unsigned long long>(result.run.events),
+                static_cast<unsigned long long>(trace_hash));
+  }
+  ASSERT_GT(result.run.hedges_launched, 0u);
+  ASSERT_GT(result.run.cache_hits, 0u);
+  EXPECT_DOUBLE_EQ(result.run.metrics.stretch, kHedgeStretch);
+  EXPECT_EQ(result.run.events, kHedgeEvents);
+  EXPECT_EQ(trace_hash, kHedgeTraceHash);
 }
 
 }  // namespace

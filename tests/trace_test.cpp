@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
+#include "core/experiment.hpp"
 #include "trace/fileset.hpp"
 #include "trace/generator.hpp"
 #include "trace/profile.hpp"
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/rng.hpp"
@@ -145,6 +148,120 @@ TEST(Generator, InvalidConfigThrows) {
   config = config_for(ucb_profile(), 500, 0.025);
   config.r = 0;
   EXPECT_THROW(generate(config), std::invalid_argument);
+}
+
+// Non-finite inputs are rejected before any record is drawn. An infinite
+// rate (zero gaps) or horizon used to loop forever, NaN lambda failed only
+// by accident inside vector::reserve, and NaN mu_h slipped through and
+// cast NaN demands to Time.
+TEST(Generator, NonFiniteConfigThrows) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    auto config = config_for(ucb_profile(), 500, 0.025);
+    config.lambda = bad;
+    EXPECT_THROW(generate(config), std::invalid_argument) << bad;
+    EXPECT_THROW(TraceGenerator{config}, std::invalid_argument) << bad;
+    config = config_for(ucb_profile(), 500, 0.025);
+    config.duration_s = bad;
+    EXPECT_THROW(generate(config), std::invalid_argument) << bad;
+    config = config_for(ucb_profile(), 500, 0.025);
+    config.mu_h = bad;
+    EXPECT_THROW(generate(config), std::invalid_argument) << bad;
+    config = config_for(ucb_profile(), 500, 0.025);
+    config.r = bad;
+    EXPECT_THROW(generate(config), std::invalid_argument) << bad;
+  }
+}
+
+void expect_same_record(const TraceRecord& a, const TraceRecord& b,
+                        std::size_t i) {
+  EXPECT_EQ(a.arrival, b.arrival) << "record " << i;
+  EXPECT_EQ(a.cls, b.cls) << "record " << i;
+  EXPECT_EQ(a.size_bytes, b.size_bytes) << "record " << i;
+  EXPECT_EQ(a.service_demand, b.service_demand) << "record " << i;
+  EXPECT_EQ(a.cpu_fraction, b.cpu_fraction) << "record " << i;
+  EXPECT_EQ(a.mem_pages, b.mem_pages) << "record " << i;
+  EXPECT_EQ(a.url_id, b.url_id) << "record " << i;
+}
+
+/// Pulls `stream` dry and checks it against `expected` record for record,
+/// then that an exhausted stream stays exhausted.
+void expect_stream_yields(RecordSource& stream, const Trace& expected) {
+  std::size_t i = 0;
+  TraceRecord rec;
+  while (stream.next(rec)) {
+    ASSERT_LT(i, expected.size()) << "stream yields extra records";
+    expect_same_record(rec, expected.records[i], i);
+    ++i;
+  }
+  EXPECT_EQ(i, expected.size());
+  EXPECT_FALSE(stream.next(rec));
+}
+
+TEST(TraceStream, MatchesGenerateRecordForRecord) {
+  std::vector<GeneratorConfig> configs;
+  configs.push_back(config_for(ucb_profile(), 800, 0.025, 3, 5.0));
+  configs.push_back(config_for(ksu_profile(), 800, 0.025, 4, 5.0));
+  configs.back().bursty = true;
+  configs.push_back(config_for(adl_profile(), 800, 0.0125, 5, 5.0));
+  configs.back().diurnal = true;
+  configs.back().diurnal_period_s = 2.0;
+  configs.push_back(config_for(ksu_profile(), 800, 0.025, 6, 5.0));
+  configs.back().cgi_distinct_urls = 0;  // every dynamic request unique
+  for (const GeneratorConfig& config : configs) {
+    const Trace expected = generate(config);
+    ASSERT_GT(expected.size(), 1000u);
+    TraceGenerator stream(config);
+    // The hint is the capacity generate() reserves: expected count + 10%.
+    EXPECT_EQ(stream.size_hint(),
+              static_cast<std::size_t>(config.lambda * config.duration_s *
+                                       1.1) +
+                  16);
+    expect_stream_yields(stream, expected);
+  }
+}
+
+// The mid-run flip streams segment one, then segment two (flip_profile on
+// the xor-salted seed) shifted by flip_at_s: the same records as
+// generating both segments whole and splicing them.
+TEST(TraceStream, FlipSpliceMatchesSegmentsGeneratedWhole) {
+  core::ExperimentSpec spec;
+  spec.profile = ksu_profile();
+  spec.flip_profile = ucb_profile();
+  spec.lambda = 600;
+  spec.duration_s = 6.0;
+  spec.flip_at_s = 2.5;
+  spec.seed = 11;
+
+  GeneratorConfig head;
+  head.profile = spec.profile;
+  head.lambda = spec.lambda;
+  head.duration_s = spec.flip_at_s;
+  head.seed = spec.seed;
+  GeneratorConfig tail = head;
+  tail.profile = spec.flip_profile;
+  tail.duration_s = spec.duration_s - spec.flip_at_s;
+  tail.seed = spec.seed ^ 0x9E3779B97F4A7C15ULL;
+  Trace expected = generate(head);
+  const std::size_t head_count = expected.size();
+  for (TraceRecord rec : generate(tail).records) {
+    rec.arrival += from_seconds(spec.flip_at_s);
+    expected.records.push_back(rec);
+  }
+  ASSERT_GT(head_count, 500u);
+  ASSERT_GT(expected.size(), head_count + 500u);
+
+  core::ReplayStream stream(spec);
+  expect_stream_yields(stream, expected);
+  // generate_trace() is the same stream drained.
+  core::ReplayStream again(spec);
+  expect_stream_yields(again, core::generate_trace(spec));
+  // A flip at or past the horizon is no flip at all.
+  spec.flip_at_s = spec.duration_s;
+  core::ReplayStream plain(spec);
+  head.duration_s = spec.duration_s;
+  expect_stream_yields(plain, generate(head));
 }
 
 // Calibration sweep: for every profile and r, the generated trace matches

@@ -36,6 +36,7 @@ diagnostic on the first violation.
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -76,6 +77,11 @@ def check_schedule(path, doc):
     warmup = doc.get("warmup_s", 0)
     require(path, is_num(horizon) and is_num(warmup),
             "horizon_s/warmup_s must be numbers")
+    # json reads 1e999 as infinity, which the replay refuses.
+    for key, value in (("horizon_s", horizon), ("warmup_s", warmup),
+                       ("lambda", doc.get("lambda"))):
+        require(path, not is_num(value) or math.isfinite(value),
+                f"{key} must be finite")
     require(path, warmup >= 0, f"warmup_s must be >= 0, got {warmup}")
     require(path, horizon > warmup,
             f"horizon_s ({horizon}) must exceed warmup_s ({warmup})")
