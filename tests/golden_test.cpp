@@ -15,6 +15,8 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "harness/sweep.hpp"
+#include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
 #include "obs/probes.hpp"
 #include "obs/trace.hpp"
@@ -55,6 +57,16 @@ constexpr std::uint64_t kCtrlDecisionsHash = 12732148973856617977ull;
 constexpr double kHedgeStretch = 19.437547233516611;
 constexpr std::uint64_t kHedgeEvents = 3822;
 constexpr std::uint64_t kHedgeTraceHash = 6873655822442740592ull;
+// Counter snapshots and full-schema rows of three layer mixes (every
+// runtime layer; ctrl autoscale alone; every layer off). The observed
+// workload's pins see only the all-off counter set, so these are the
+// anchor for the gated net/ctrl/slow_health/hedge groups.
+constexpr std::uint64_t kStackCountersHash = 9230124440577741995ull;
+constexpr std::uint64_t kStackRowHash = 10731167168819502033ull;
+constexpr std::uint64_t kScaleCountersHash = 6323357843713175637ull;
+constexpr std::uint64_t kScaleRowHash = 11424340580867695218ull;
+constexpr std::uint64_t kPlainCountersHash = 5858756066287778889ull;
+constexpr std::uint64_t kPlainRowHash = 6470876560783411680ull;
 
 core::ExperimentSpec grid_point_spec() {
   core::ExperimentSpec spec;
@@ -157,6 +169,155 @@ TEST(GoldenArtifacts, HedgedCacheRunIsBitStable) {
   EXPECT_DOUBLE_EQ(result.run.metrics.stretch, kHedgeStretch);
   EXPECT_EQ(result.run.events, kHedgeEvents);
   EXPECT_EQ(trace_hash, kHedgeTraceHash);
+}
+
+/// The counter registry of one run as "name=value" lines, in name order.
+std::string counter_lines(const obs::CounterRegistry& registry) {
+  std::string out;
+  for (const auto& [name, value] : registry.snapshot())
+    out += name + '=' + std::to_string(value) + '\n';
+  return out;
+}
+
+/// The chaos runner's full-schema row of one result, as CSV.
+std::string full_row_csv(const core::ExperimentResult& result) {
+  harness::ResultRow row;
+  harness::append_metrics(row, result);
+  harness::append_net_metrics(row, result);
+  harness::append_ctrl_metrics(row, result);
+  harness::append_gray_metrics(row, result);
+  harness::append_span_metrics(row, result);
+  return harness::csv_string({row});
+}
+
+/// Runs `spec` with a counter registry attached; returns the snapshot
+/// lines and the full-schema row.
+struct CounterRun {
+  obs::CounterRegistry registry;
+  std::string lines;
+  std::string row;
+};
+
+void run_counted(core::ExperimentSpec spec, CounterRun& out) {
+  spec.observer.counters = &out.registry;
+  const auto result = core::run_experiment(spec);
+  out.lines = counter_lines(out.registry);
+  out.row = full_row_csv(result);
+}
+
+bool has_prefix(const obs::CounterRegistry& registry, const char* prefix) {
+  for (const auto& [name, value] : registry.snapshot())
+    if (name.rfind(prefix, 0) == 0) return true;
+  return false;
+}
+
+bool any_nonzero(const obs::CounterRegistry& registry, const char* prefix) {
+  for (const auto& [name, value] : registry.snapshot())
+    if (name.rfind(prefix, 0) == 0 && value > 0) return true;
+  return false;
+}
+
+TEST(GoldenArtifacts, CounterSnapshotIsBitStable) {
+  // (a) Every runtime layer of the faulted-stack workload (net, fault with
+  // fail-slow episodes, watchdog, hedging, overload, ctrl, spans), plus the
+  // CGI cache and queue-depth shedding, with a scripted master crash so the
+  // failover counters move inside the short run.
+  core::ExperimentSpec stack = grid_point_spec();
+  stack.lambda = 600;
+  stack.net.enabled = true;
+  stack.net.loss = 0.01;
+  stack.net.stale_max_age_s = 0.05;
+  stack.net.partitions.push_back(net::parse_partition_spec("0.8:1.4:0-2|3-7"));
+  stack.fault.enabled = true;
+  stack.fault.mttf_s = 120.0;
+  stack.fault.mttr_s = 5.0;
+  stack.fault.degrade_mttf_s = 1.0;
+  stack.fault.degrade_mttr_s = 0.5;
+  stack.fault.degrade_cpu_factor = 0.1;
+  stack.fault.stall_period_s = 1.0;
+  stack.fault.script.push_back(
+      {from_seconds(1.2), 0, fault::FaultKind::kCrash, 1.0, 1.0});
+  stack.fault.script.push_back(
+      {from_seconds(1.0), 5, fault::FaultKind::kCrash, 1.0, 1.0});
+  stack.slow_health.enabled = true;
+  stack.hedge.enabled = true;
+  stack.hedge.delay_s = 0.02;
+  stack.overload.deadline.static_s = 0.5;
+  stack.overload.deadline.dynamic_s = 1.0;
+  stack.overload.breaker.enabled = true;
+  stack.overload.breaker.queue_trip = 4.0;
+  stack.overload.breaker.queue_trip_rounds = 2;
+  stack.overload.saturation.enabled = true;
+  stack.overload.saturation.enter_queue = 2.0;
+  stack.overload.saturation.exit_queue = 1.0;
+  stack.overload.saturation.min_dwell_s = 0.2;
+  stack.overload.admission.policy = overload::AdmissionPolicy::kQueueDepth;
+  stack.overload.admission.max_queue = 2.0;
+  stack.ctrl.enabled = true;
+  stack.obs.spans = true;
+  stack.cgi_cache_entries = 256;
+  stack.cgi_distinct_urls = 200;
+
+  // (b) The control plane's autoscaler and master retargeting alone.
+  core::ExperimentSpec scale = grid_point_spec();
+  scale.ctrl.enabled = true;
+  scale.ctrl.autoscale = true;
+  scale.ctrl.retarget_masters = true;
+  scale.ctrl.dwell_s = 0.25;
+  scale.ctrl.scale_down_util = 0.6;
+
+  // (c) Every layer off.
+  const core::ExperimentSpec plain = grid_point_spec();
+
+  CounterRun a, b, c;
+  run_counted(stack, a);
+  run_counted(scale, b);
+  run_counted(plain, c);
+  const std::uint64_t hashes[6] = {fnv1a(a.lines), fnv1a(a.row),
+                                   fnv1a(b.lines), fnv1a(b.row),
+                                   fnv1a(c.lines), fnv1a(c.row)};
+  if (print_golden()) {
+    std::printf("counters: stack=%llu/%llu scale=%llu/%llu plain=%llu/%llu\n",
+                static_cast<unsigned long long>(hashes[0]),
+                static_cast<unsigned long long>(hashes[1]),
+                static_cast<unsigned long long>(hashes[2]),
+                static_cast<unsigned long long>(hashes[3]),
+                static_cast<unsigned long long>(hashes[4]),
+                static_cast<unsigned long long>(hashes[5]));
+    std::printf("%s--\n%s--\n%s", a.lines.c_str(), b.lines.c_str(),
+                c.lines.c_str());
+  }
+
+  // Ungated groups are present in every run, even at zero.
+  for (const CounterRun* run : {&a, &b, &c})
+    for (const char* group : {"dispatch.", "cache.", "fault.", "overload.",
+                              "reservation.", "cpu.", "disk."})
+      EXPECT_TRUE(has_prefix(run->registry, group)) << group;
+  // Gated groups appear exactly when their layer is on.
+  EXPECT_TRUE(has_prefix(a.registry, "net."));
+  EXPECT_TRUE(has_prefix(a.registry, "ctrl."));
+  EXPECT_TRUE(has_prefix(a.registry, "slow_health."));
+  EXPECT_TRUE(has_prefix(a.registry, "hedge."));
+  EXPECT_FALSE(has_prefix(b.registry, "net."));
+  EXPECT_TRUE(has_prefix(b.registry, "ctrl."));
+  EXPECT_FALSE(has_prefix(b.registry, "slow_health."));
+  EXPECT_FALSE(has_prefix(b.registry, "hedge."));
+  for (const char* group : {"net.", "ctrl.", "slow_health.", "hedge."})
+    EXPECT_FALSE(has_prefix(c.registry, group)) << group;
+  // Every group moves in (a) or (b), so the pins cover live values.
+  for (const char* group : {"dispatch.", "cache.", "fault.", "overload.",
+                            "net.", "ctrl.", "slow_health.", "hedge."})
+    EXPECT_TRUE(any_nonzero(a.registry, group) ||
+                any_nonzero(b.registry, group))
+        << group;
+  EXPECT_TRUE(any_nonzero(b.registry, "ctrl.scale_"));
+
+  EXPECT_EQ(hashes[0], kStackCountersHash);
+  EXPECT_EQ(hashes[1], kStackRowHash);
+  EXPECT_EQ(hashes[2], kScaleCountersHash);
+  EXPECT_EQ(hashes[3], kScaleRowHash);
+  EXPECT_EQ(hashes[4], kPlainCountersHash);
+  EXPECT_EQ(hashes[5], kPlainRowHash);
 }
 
 }  // namespace
