@@ -45,11 +45,7 @@ ChaosOutcome run_schedule(const ChaosSchedule& schedule) {
   // The canonical artifact: one full-schema row, hashed for the
   // byte-identity contract (jobs=N replay must reproduce this exactly).
   outcome.row.set("seed", static_cast<unsigned long long>(schedule.seed));
-  harness::append_metrics(outcome.row, result);
-  harness::append_net_metrics(outcome.row, result);
-  harness::append_ctrl_metrics(outcome.row, result);
-  harness::append_gray_metrics(outcome.row, result);
-  harness::append_span_metrics(outcome.row, result);
+  outcome.row.merge(harness::full_row(result));
   outcome.artifact_hash = fnv1a(harness::csv_string({outcome.row}));
   return outcome;
 }

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "core/cache.hpp"
+#include "core/experiment.hpp"
+#include "core/metric_table.hpp"
 #include "fault/membership.hpp"
 #include "net/net_health.hpp"
 #include "net/network.hpp"
@@ -118,71 +120,18 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     // Same contract for the control plane's lane.
     if (ctrl_on) tracer->name_thread(cluster_pid, obs::kLaneCtrl, "ctrl");
   }
-  // Counter handles resolve once here; a null registry leaves every handle
-  // null and obs::bump a no-op.
-  const auto counter = [counters](const char* name) -> std::uint64_t* {
-    return counters != nullptr ? counters->handle(name) : nullptr;
-  };
-  std::uint64_t* c_requests = counter("dispatch.requests");
-  std::uint64_t* c_remote = counter("dispatch.remote");
-  std::uint64_t* c_cache_lookups = counter("cache.lookups");
-  std::uint64_t* c_cache_hits = counter("cache.hits");
-  std::uint64_t* c_redispatches = counter("fault.redispatches");
-  std::uint64_t* c_timeouts = counter("fault.timeouts");
-  std::uint64_t* c_promotions = counter("fault.promotions");
-  std::uint64_t* c_reservation_updates = counter("reservation.updates");
-  std::uint64_t* c_shed = counter("overload.shed");
-  std::uint64_t* c_overload_retries = counter("overload.retries");
-  std::uint64_t* c_abandoned = counter("overload.abandoned");
-  std::uint64_t* c_breaker_trips = counter("overload.breaker_trips");
-  std::uint64_t* c_degraded_entries = counter("overload.degraded_entries");
-  // net.* counters exist only when the net model is on, so a net-off run's
-  // counter snapshot (in traces and JSON dumps) is unchanged.
-  const auto net_counter = [&](const char* name) -> std::uint64_t* {
-    return net_on ? counter(name) : nullptr;
-  };
-  std::uint64_t* c_net_sent = net_counter("net.sent");
-  std::uint64_t* c_net_lost = net_counter("net.lost");
-  std::uint64_t* c_net_partition_drops = net_counter("net.partition_drops");
-  std::uint64_t* c_net_duplicates = net_counter("net.duplicates");
-  std::uint64_t* c_net_rpc_retries = net_counter("net.rpc_retries");
-  std::uint64_t* c_net_rpc_failures = net_counter("net.rpc_failures");
-  std::uint64_t* c_net_reports = net_counter("net.reports");
-  std::uint64_t* c_net_stale_fallbacks = net_counter("net.stale_fallbacks");
-  std::uint64_t* c_net_partitions = net_counter("net.partitions");
-  std::uint64_t* c_net_stepdowns = net_counter("net.stepdowns");
-  std::uint64_t* c_net_split_brain = net_counter("net.split_brain_rounds");
-  // ctrl.* counters follow the same gating: absent from ctrl-off runs.
-  const auto ctrl_counter = [&](const char* name) -> std::uint64_t* {
-    return ctrl_on ? counter(name) : nullptr;
-  };
-  std::uint64_t* c_ctrl_retunes = ctrl_counter("ctrl.retunes");
-  std::uint64_t* c_ctrl_scale_ups = ctrl_counter("ctrl.scale_ups");
-  std::uint64_t* c_ctrl_scale_downs = ctrl_counter("ctrl.scale_downs");
-  std::uint64_t* c_ctrl_migrations = ctrl_counter("ctrl.migrations");
-  std::uint64_t* c_ctrl_retargets = ctrl_counter("ctrl.retargets");
-  // Gray-failure counters follow the same gating: absent unless the
-  // slow-health watchdog / hedged dispatch are on.
-  std::uint64_t* c_slow_degraded =
-      slow_on ? counter("slow_health.degraded") : nullptr;
-  std::uint64_t* c_slow_recovered =
-      slow_on ? counter("slow_health.recovered") : nullptr;
-  std::uint64_t* c_hedges_launched =
-      hedges_on ? counter("hedge.launched") : nullptr;
-  std::uint64_t* c_hedge_wins = hedges_on ? counter("hedge.wins") : nullptr;
-  std::uint64_t* c_hedge_cancelled =
-      hedges_on ? counter("hedge.cancelled") : nullptr;
-  std::uint64_t* c_hedges_skipped =
-      hedges_on ? counter("hedge.skipped") : nullptr;
+  // Every outcome is tallied once, straight into the result; the counter
+  // registry is filled from it after the run (core/metric_table.hpp).
+  RunResult result;
+  result.net_enabled = net_on;
+  result.ctrl_enabled = ctrl_on;
+  result.slow_health_enabled = slow_on;
+  result.hedging_enabled = hedges_on;
+  result.powered_min = config_.p;
 
   sim::NodeObsHooks node_hooks;
   node_hooks.trace = tracer;
   node_hooks.spans = spans;
-  node_hooks.forks = counter("cpu.forks");
-  node_hooks.context_switches = counter("cpu.context_switches");
-  node_hooks.preemptions = counter("cpu.preemptions");
-  node_hooks.cpu_slices = counter("cpu.slices");
-  node_hooks.disk_slices = counter("disk.slices");
 
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(static_cast<std::size_t>(config_.p));
@@ -224,14 +173,9 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   std::optional<ctrl::ControlLoop> ctrl_loop;
   std::vector<char> powered_state;
   int powered_count = config_.p;
-  int powered_low = config_.p;
-  std::uint64_t ctrl_retunes = 0;
-  std::uint64_t ctrl_scale_ups = 0;
-  std::uint64_t ctrl_scale_downs = 0;
-  std::uint64_t ctrl_migrations = 0;
-  std::uint64_t ctrl_retargets = 0;
-  double energy_acc_node_s = 0.0;  ///< powered node-seconds, closed windows
-  Time energy_mark = 0;            ///< start of the open window
+  // result.energy_node_s sums closed powered windows; the open one
+  // starts at energy_mark.
+  Time energy_mark = 0;
   if (ctrl_on) {
     ctrl::EstimatorConfig est_cfg;
     est_cfg.alpha = config_.ctrl.estimate_alpha;
@@ -249,17 +193,11 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   std::optional<net::Rpc> rpc;
   std::optional<net::StaleClusterView> stale_view;
   std::optional<net::NetHealth> net_health;
-  std::uint64_t stale_fallbacks = 0;
-  std::uint64_t net_reports = 0;
   if (net_on) {
     network.emplace(engine, config_.net, config_.p, config_.seed);
     net::NetworkHooks net_hooks;
     net_hooks.trace = tracer;
     net_hooks.cluster_pid = cluster_pid;
-    net_hooks.sent = c_net_sent;
-    net_hooks.lost = c_net_lost;
-    net_hooks.partition_drops = c_net_partition_drops;
-    net_hooks.partitions = c_net_partitions;
     network->set_hooks(net_hooks);
     net::Rpc::Options rpc_options;
     rpc_options.timeout = from_seconds(config_.net.rpc_timeout_s);
@@ -269,9 +207,6 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     net::Rpc::Hooks rpc_hooks;
     rpc_hooks.trace = tracer;
     rpc_hooks.cluster_pid = cluster_pid;
-    rpc_hooks.retries = c_net_rpc_retries;
-    rpc_hooks.failures = c_net_rpc_failures;
-    rpc_hooks.duplicates = c_net_duplicates;
     rpc_hooks.spans = spans;
     rpc->set_hooks(rpc_hooks);
     stale_view.emplace(config_.p);
@@ -285,8 +220,6 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     slow_health->set_on_transition([&, tracer](int node,
                                                fault::NodeHealth from,
                                                fault::NodeHealth to) {
-      obs::bump(to == fault::NodeHealth::kDegraded ? c_slow_degraded
-                                                   : c_slow_recovered);
       if (tracer != nullptr)
         tracer->instant(obs::Category::kFault, "slow-health", node,
                         obs::kLaneFault, engine.now(),
@@ -306,8 +239,6 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   std::optional<fault::Membership> membership;
   std::optional<fault::HealthMonitor> health;
   std::optional<fault::FaultInjector> injector;
-  std::uint64_t redispatches = 0;
-  std::uint64_t timeouts = 0;
   /// Quorum-deferred promotions: dead masters whose replacement could not
   /// be elected yet (no majority corroboration, or the front end itself
   /// lost quorum). Retried every detection round.
@@ -327,9 +258,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
           [&](int node, double extra_loss, double latency_factor) {
             network->set_node_degradation(node, extra_loss, latency_factor);
           });
-    const auto note_promotion = [&, tracer, c_promotions](int promoted,
-                                                          int replaced) {
-      obs::bump(c_promotions);
+    const auto note_promotion = [&, tracer](int promoted, int replaced) {
       if (tracer != nullptr)
         tracer->instant(obs::Category::kFault, "promote", promoted,
                         obs::kLaneFault, engine.now(),
@@ -394,8 +323,6 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
       net::NetHealth::Hooks nh_hooks;
       nh_hooks.trace = tracer;
       nh_hooks.cluster_pid = cluster_pid;
-      nh_hooks.stepdowns = c_net_stepdowns;
-      nh_hooks.split_brain_rounds = c_net_split_brain;
       net_health->set_hooks(nh_hooks);
       net_health->set_on_transition(transition_handler);
       // Split-brain safety: a dead master's role moves only when a
@@ -464,7 +391,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     view.stale = &*stale_view;
     view.stale_penalty_per_s = config_.net.stale_penalty_per_s;
     view.stale_max_age_s = config_.net.stale_max_age_s;
-    view.stale_fallbacks = &stale_fallbacks;
+    view.stale_fallbacks = &result.net_stale_fallbacks;
   }
   if (ctrl_on) {
     view.ctrl_active = true;
@@ -481,7 +408,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   // CSVs keep their exact (golden-hashed) bytes.
   if (view.decisions != nullptr && (slow_on || hedges_on))
     view.decisions->enable_gray_columns();
-  view.reservation_rejections = counter("dispatch.reservation_rejections");
+  view.reservation_rejections = &result.reservation_rejections;
 
   MetricsCollector metrics(config_.warmup, config_.os.fork_overhead);
   if (config_.metrics_tail_start > 0)
@@ -493,8 +420,6 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   // Unsettled requests plus the pending record: zero exactly when the
   // source is exhausted and every delivered request has settled.
   std::uint64_t remaining = 1;
-  std::uint64_t completed_jobs = 0;
-  RunResult result;  // result.submitted counts deliveries
 
   // --- hedged dispatch (absent when disabled: no per-job state, no
   // timers, no dedup claims — byte-identical to a build without it) ---
@@ -519,10 +444,6 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   /// so a racing loser completion (finished before its cancellation
   /// landed) is dropped here and never double-counted.
   net::DedupFilter hedge_settled;
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t hedge_cancellations = 0;
-  std::uint64_t hedges_skipped = 0;
   // Trailing per-class *stretch* p95 (sojourn normalized by the request's
   // demand) driving the adaptive hedge delay. Normalizing is what keeps
   // hedging from duplicating elephants: with heavy-tailed demands the
@@ -559,10 +480,8 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     HedgeState& hs = hedge_state[static_cast<std::size_t>(id)];
     if (!hs.armed || !hedge_settled.claim(id)) return;
     if (hs.launched && hs.hedge_node >= 0 &&
-        node_ptrs[static_cast<std::size_t>(hs.hedge_node)]->cancel(id)) {
-      ++hedge_cancellations;
-      obs::bump(c_hedge_cancelled);
-    }
+        node_ptrs[static_cast<std::size_t>(hs.hedge_node)]->cancel(id))
+      ++result.hedge_cancellations;
   };
   /// A request leaves the system for good (completed, timed out, shed or
   /// abandoned): its hedge origin is released, and the run stops once
@@ -583,11 +502,6 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     overload::OverloadHooks hooks;
     hooks.trace = tracer;
     hooks.cluster_pid = cluster_pid;
-    hooks.shed = c_shed;
-    hooks.retries = c_overload_retries;
-    hooks.abandoned = c_abandoned;
-    hooks.breaker_trips = c_breaker_trips;
-    hooks.degraded_entries = c_degraded_entries;
     overload->set_hooks(hooks);
     // Degraded static-only mode clamps the reservation: masters stop
     // accepting dynamic work entirely until the detector restores.
@@ -631,17 +545,13 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
                                     ? hs.primary_node
                                     : (hs.launched ? hs.hedge_node : -1);
               if (job.hedge) {
-                ++hedge_wins;
-                obs::bump(c_hedge_wins);
+                ++result.hedge_wins;
                 if (spans != nullptr)
                   spans->note(job.id, "hedge-win", completion, i);
               }
               if (loser >= 0 && loser != i &&
-                  node_ptrs[static_cast<std::size_t>(loser)]->cancel(
-                      job.id)) {
-                ++hedge_cancellations;
-                obs::bump(c_hedge_cancelled);
-              }
+                  node_ptrs[static_cast<std::size_t>(loser)]->cancel(job.id))
+                ++result.hedge_cancellations;
             }
           }
           // on_complete closes deadline tracking and feeds the breaker /
@@ -649,7 +559,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
           // already-counted abandonment, which must not be counted twice.
           if (overload_on && !overload->on_complete(job, i, completion))
             return;
-          ++completed_jobs;
+          ++result.completed;
           if (spans != nullptr) {
             // The final job is authoritative for class/demand (a cache
             // hit may have demoted a dynamic request mid-flight).
@@ -730,8 +640,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
       if (static_cast<int>(job.attempts) > config_.fault.max_redispatch) {
         hedge_on_terminal(job.id);
         if (overload_on) overload->forget(job.id);
-        ++timeouts;
-        obs::bump(c_timeouts);
+        ++result.timeouts;
         if (tracer != nullptr)
           tracer->instant(
               obs::Category::kDispatch, "timeout", cluster_pid,
@@ -750,8 +659,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
         settle(job.id);
         return;
       }
-      ++redispatches;
-      obs::bump(c_redispatches);
+      ++result.redispatches;
       if (tracer != nullptr)
         tracer->instant(
             obs::Category::kDispatch, "redispatch", cluster_pid,
@@ -855,8 +763,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
             } else if (ctrl_scaling) {
               // Delivered to a node the autoscaler powered down mid-
               // flight: re-route like a drained job.
-              ++ctrl_migrations;
-              obs::bump(c_ctrl_migrations);
+              ++result.ctrl_migrations;
               route_and_submit(std::move(job));
             }
             // Without the fault layer or autoscaler nodes never go away,
@@ -877,8 +784,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
             // silently dropped.
             hedge_on_terminal(job.id);
             if (overload_on) overload->forget(job.id);
-            ++timeouts;
-            obs::bump(c_timeouts);
+            ++result.timeouts;
             if (tracer != nullptr)
               tracer->instant(
                   obs::Category::kDispatch, "timeout", cluster_pid,
@@ -970,8 +876,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
             if (config_.use_dispatch_feedback)
               feedbacks[static_cast<std::size_t>(r)].on_node_report(
                   static_cast<std::size_t>(n), info);
-            ++net_reports;
-            obs::bump(c_net_reports);
+            ++result.net_reports;
           });
         }
       }
@@ -988,7 +893,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   const bool tuner_active = ctrl_on && config_.ctrl.tune_reservation;
   std::function<void()> reservation_tick = [&] {
     if (!tuner_active) reservation.update();
-    obs::bump(c_reservation_updates);
+    ++result.reservation_updates;
     if (tracer != nullptr) {
       const Time now = engine.now();
       tracer->counter(obs::Category::kReservation, "theta_limit",
@@ -1042,7 +947,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
         cluster_probe.net_rpc_retries =
             static_cast<double>(rpc->retries());
         cluster_probe.net_stale_fallbacks =
-            static_cast<double>(stale_fallbacks);
+            static_cast<double>(result.net_stale_fallbacks);
         cluster_probe.net_split_brain_rounds =
             faults_on
                 ? static_cast<double>(net_health->split_brain_rounds())
@@ -1102,12 +1007,10 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     // CGI-cache extension: the receiving master can serve a fresh cached
     // response as a plain file fetch, bypassing CGI execution entirely.
     bool cache_hit = false;
-    if (cache_on && was_dynamic) obs::bump(c_cache_lookups);
     if (cache_on && was_dynamic &&
         caches[static_cast<std::size_t>(decision.receiver)].lookup(
             rec.url_id, engine.now())) {
       cache_hit = true;
-      obs::bump(c_cache_hits);
       decision.node = decision.receiver;
       decision.remote = false;
       decision.rsrc_w = -1.0;
@@ -1125,8 +1028,8 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
       }
     }
     job.remote = decision.remote;
-    obs::bump(c_requests);
-    if (decision.remote) obs::bump(c_remote);
+    ++result.dispatch_requests;
+    if (decision.remote) ++result.dispatch_remote;
     if (tracer != nullptr)
       tracer->instant(obs::Category::kDispatch,
                       cache_hit ? "cache-hit" : "dispatch", cluster_pid,
@@ -1203,8 +1106,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
               } else if (ctrl_scaling) {
                 // Powered down mid-hop (faults excluded by construction):
                 // re-route, don't burn a failover retry.
-                ++ctrl_migrations;
-                obs::bump(c_ctrl_migrations);
+                ++result.ctrl_migrations;
                 route_and_submit(job);
               } else {
                 if (overload_on)
@@ -1219,8 +1121,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
                                   target->submit(job);
                                   return;
                                 }
-                                ++ctrl_migrations;
-                                obs::bump(c_ctrl_migrations);
+                                ++result.ctrl_migrations;
                                 route_and_submit(job);
                               });
       } else {
@@ -1244,8 +1145,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     } else if (ctrl_scaling && !target->alive()) {
       // The dispatcher's powered gate should make this unreachable, but a
       // same-instant race costs only a re-route, never a lost job.
-      ++ctrl_migrations;
-      obs::bump(c_ctrl_migrations);
+      ++result.ctrl_migrations;
       route_and_submit(std::move(job));
     } else {
       if (overload_on) overload->note_on_node(job.id, target_idx);
@@ -1283,14 +1183,12 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
       sim::Node* target = node_ptrs[static_cast<std::size_t>(decision.node)];
       if (decision.node == hs.primary_node || !target->alive()) {
         // No distinct healthy target to hedge to.
-        ++hedges_skipped;
-        obs::bump(c_hedges_skipped);
+        ++result.hedges_skipped;
         return;
       }
       hs.launched = true;
       hs.hedge_node = decision.node;
-      ++hedges_launched;
-      obs::bump(c_hedges_launched);
+      ++result.hedges_launched;
       if (tracer != nullptr)
         tracer->instant(obs::Category::kDispatch, "hedge", cluster_pid,
                         obs::kLaneDispatch, engine.now(),
@@ -1353,8 +1251,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
 
       if (actions.retune) {
         reservation.retune(actions.a, actions.r, actions.slew);
-        ++ctrl_retunes;
-        obs::bump(c_ctrl_retunes);
+        ++result.ctrl_retunes;
         if (tracer != nullptr)
           tracer->instant(obs::Category::kCtrl, "retune", cluster_pid,
                           obs::kLaneCtrl, now,
@@ -1368,14 +1265,13 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
       if (actions.scale == ctrl::ScaleAction::kUp &&
           powered_count < config_.p) {
         const int woken = powered_count;
-        energy_acc_node_s +=
+        result.energy_node_s +=
             static_cast<double>(powered_count) * to_seconds(now - energy_mark);
         energy_mark = now;
         node_ptrs[static_cast<std::size_t>(woken)]->power_up();
         powered_state[static_cast<std::size_t>(woken)] = 1;
         ++powered_count;
-        ++ctrl_scale_ups;
-        obs::bump(c_ctrl_scale_ups);
+        ++result.ctrl_scale_ups;
         membership_dirty = true;
         if (tracer != nullptr)
           tracer->instant(obs::Category::kCtrl, "scale-up", cluster_pid,
@@ -1390,16 +1286,15 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
         // Powered-prefix invariant: drain the highest powered node, which
         // is never a master.
         const int victim = powered_count - 1;
-        energy_acc_node_s +=
+        result.energy_node_s +=
             static_cast<double>(powered_count) * to_seconds(now - energy_mark);
         energy_mark = now;
         powered_state[static_cast<std::size_t>(victim)] = 0;
         --powered_count;
-        powered_low = std::min(powered_low, powered_count);
+        result.powered_min = std::min(result.powered_min, powered_count);
         std::vector<sim::Job> drained =
             node_ptrs[static_cast<std::size_t>(victim)]->power_down();
-        ++ctrl_scale_downs;
-        obs::bump(c_ctrl_scale_downs);
+        ++result.ctrl_scale_downs;
         membership_dirty = true;
         if (tracer != nullptr)
           tracer->instant(obs::Category::kCtrl, "scale-down", cluster_pid,
@@ -1424,8 +1319,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
             }
             hs.primary_node = -1;
           }
-          ++ctrl_migrations;
-          obs::bump(c_ctrl_migrations);
+          ++result.ctrl_migrations;
           if (spans != nullptr) {
             // Migration rides the remote-dispatch hop; charge it there.
             spans->begin_hop(job.id, now);
@@ -1445,8 +1339,7 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
 
       if (actions.masters_target != view.m) {
         view.m = actions.masters_target;
-        ++ctrl_retargets;
-        obs::bump(c_ctrl_retargets);
+        ++result.ctrl_retargets;
         membership_dirty = true;
         if (tracer != nullptr)
           tracer->instant(obs::Category::kCtrl, "retarget", cluster_pid,
@@ -1533,7 +1426,6 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   // one. The pull happens first, so exhaustion is known before the current
   // request can settle; the event heap and the resident records stay
   // small regardless of trace length.
-  std::uint64_t next_id = 1;
   std::function<void()> deliver = [&] {
     const trace::TraceRecord rec = pending;
     const bool more = source.next(pending);
@@ -1543,9 +1435,8 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
         engine.schedule_call(pending.arrival, &invoke_closure, &deliver);
     };
     sim::Job job;
-    job.id = next_id++;
+    job.id = ++result.submitted;  // dense ids from 1
     job.request = rec;
-    ++result.submitted;
     if (hedges_on) {
       HedgeState hs;
       if (hedge_origin_free.empty()) {
@@ -1593,13 +1484,10 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
   result.metrics = metrics.summary();
   result.events = engine.events_processed();
   result.sim_seconds = to_seconds(engine.now());
-  result.completed = completed_jobs;
   const Time end = engine.now();
   if (faults_on) {
     result.availability = injector->availability(end);
     result.node_crashes = injector->crashes();
-    result.redispatches = redispatches;
-    result.timeouts = timeouts;
     result.promotions = membership->promotions();
     result.degrade_events = injector->degrade_events();
     result.degraded_node_s = to_seconds(injector->degraded_until(end));
@@ -1608,50 +1496,28 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     result.slow_degraded = slow_health->degrade_transitions();
     result.slow_recovered = slow_health->recover_transitions();
   }
-  if (hedges_on) {
-    result.hedging_enabled = true;
-    result.hedges_launched = hedges_launched;
-    result.hedge_wins = hedge_wins;
-    result.hedge_cancellations = hedge_cancellations;
-    result.hedges_skipped = hedges_skipped;
-  }
   if (net_on) {
-    result.net_enabled = true;
-    result.timeouts = timeouts;  // wire-lost dispatches when faults are off
     result.net_sent = network->sent();
-    result.net_lost = network->lost() + network->partition_drops();
+    result.net_wire_lost = network->lost();
+    result.net_partition_drops = network->partition_drops();
     result.net_duplicates = rpc->duplicates();
     result.net_rpc_retries = rpc->retries();
     result.net_rpc_failures = rpc->failures();
-    result.net_reports = net_reports;
-    result.net_stale_fallbacks = stale_fallbacks;
     result.net_partitions = network->partitions_seen();
     if (faults_on) {
       result.net_stepdowns = net_health->stepdowns();
       result.net_split_brain_rounds = net_health->split_brain_rounds();
     }
-    // The fallback counter is bumped through the dispatch view, not a
-    // registry handle; mirror it into the registry at run end.
-    if (c_net_stale_fallbacks != nullptr)
-      *c_net_stale_fallbacks = stale_fallbacks;
   }
   if (ctrl_on) {
-    result.ctrl_enabled = true;
-    result.ctrl_retunes = ctrl_retunes;
-    result.ctrl_scale_ups = ctrl_scale_ups;
-    result.ctrl_scale_downs = ctrl_scale_downs;
-    result.ctrl_migrations = ctrl_migrations;
-    result.ctrl_retargets = ctrl_retargets;
     result.ctrl_w_hat = estimator->w_hat();
     result.ctrl_r_hat = estimator->r_hat();
   }
-  result.powered_min = powered_low;
-  result.energy_node_s =
-      ctrl_scaling
-          ? energy_acc_node_s +
-                static_cast<double>(powered_count) *
-                    to_seconds(end - energy_mark)
-          : static_cast<double>(config_.p) * to_seconds(end);
+  if (ctrl_scaling)
+    result.energy_node_s +=
+        static_cast<double>(powered_count) * to_seconds(end - energy_mark);
+  else
+    result.energy_node_s = static_cast<double>(config_.p) * to_seconds(end);
   if (overload_on) {
     result.shed = overload->shed_count();
     result.abandoned = overload->abandoned_count();
@@ -1679,6 +1545,12 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     result.node_disk_utilization.push_back(disk);
     cpu_sum += cpu;
     disk_sum += disk;
+    const sim::NodeCounts& counts = node->counts();
+    result.cpu_forks += counts.forks;
+    result.cpu_context_switches += counts.context_switches;
+    result.cpu_preemptions += counts.preemptions;
+    result.cpu_slices += counts.cpu_slices;
+    result.disk_slices += counts.disk_slices;
   }
   result.mean_cpu_utilization = cpu_sum / static_cast<double>(config_.p);
   result.mean_disk_utilization = disk_sum / static_cast<double>(config_.p);
@@ -1690,10 +1562,11 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     result.cache_hits += cache.hits();
     result.cache_lookups += cache.lookups();
   }
-  if (result.cache_lookups > 0)
-    result.cache_hit_ratio = static_cast<double>(result.cache_hits) /
-                             static_cast<double>(result.cache_lookups);
-  return result;
+  if (counters == nullptr) return result;
+  ExperimentResult published;
+  published.run = std::move(result);
+  publish_counters(published, *counters);
+  return std::move(published.run);
 }
 
 }  // namespace wsched::core

@@ -122,6 +122,9 @@ struct ClusterConfig {
   double wall_budget_s = 0.0;
 };
 
+/// Every outcome of one run, each tallied once: ClusterSim increments
+/// these fields directly, or copies a subsystem's own count at run end.
+/// core/metric_table.hpp maps them to sweep columns and counter names.
 struct RunResult {
   MetricsSummary metrics;
   double mean_cpu_utilization = 0.0;
@@ -137,10 +140,27 @@ struct RunResult {
   double master_fraction = 0.0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
+  /// Routing decisions (first dispatch, client retries, migrations) and
+  /// the remote ones among them; dynamic requests the reservation gate
+  /// turned away from a master.
+  std::uint64_t dispatch_requests = 0;
+  std::uint64_t dispatch_remote = 0;
+  std::uint64_t reservation_rejections = 0;
+  std::uint64_t reservation_updates = 0;  ///< theta'_2 update ticks
+  /// Node-model totals over all nodes (sim::NodeCounts).
+  std::uint64_t cpu_forks = 0;
+  std::uint64_t cpu_context_switches = 0;
+  std::uint64_t cpu_preemptions = 0;
+  std::uint64_t cpu_slices = 0;
+  std::uint64_t disk_slices = 0;
   /// CGI-cache extension statistics (0 when the cache is off).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_lookups = 0;
-  double cache_hit_ratio = 0.0;
+  double cache_hit_ratio() const {
+    return cache_lookups > 0 ? static_cast<double>(cache_hits) /
+                                   static_cast<double>(cache_lookups)
+                             : 0.0;
+  }
   /// Fault/failover statistics (defaults when fault injection is off).
   double availability = 1.0;       ///< node-seconds up / node-seconds total
   std::uint64_t node_crashes = 0;  ///< crash faults that actually fired
@@ -159,7 +179,11 @@ struct RunResult {
   /// dispatches lost on the wire after all RPC attempts.
   bool net_enabled = false;
   std::uint64_t net_sent = 0;
-  std::uint64_t net_lost = 0;        ///< wire loss + partition drops
+  std::uint64_t net_wire_lost = 0;        ///< random wire loss
+  std::uint64_t net_partition_drops = 0;  ///< dropped across a partition
+  std::uint64_t net_lost() const {
+    return net_wire_lost + net_partition_drops;
+  }
   std::uint64_t net_duplicates = 0;  ///< retransmit copies deduplicated
   std::uint64_t net_rpc_retries = 0;
   std::uint64_t net_rpc_failures = 0;  ///< calls that exhausted attempts
@@ -175,6 +199,7 @@ struct RunResult {
   /// slow-health watchdog are off).
   std::uint64_t degrade_events = 0;   ///< fail-slow episodes opened
   double degraded_node_s = 0.0;       ///< node-seconds spent limping
+  bool slow_health_enabled = false;
   std::uint64_t slow_degraded = 0;    ///< watchdog kDegraded transitions
   std::uint64_t slow_recovered = 0;   ///< watchdog recoveries
   /// Hedged-dispatch statistics (defaults when hedging is off).

@@ -79,7 +79,7 @@ struct ClusterView {
   const net::StaleClusterView* stale = nullptr;
   double stale_penalty_per_s = 0.0;
   double stale_max_age_s = 0.0;  ///< 0 disables the two-choices fallback
-  /// Counter bumped on every two-choices fallback; null = untracked.
+  /// Count incremented on every two-choices fallback; null = untracked.
   std::uint64_t* stale_fallbacks = nullptr;
 
   // --- gray-failure defense (src/fault/health.*; all null/false when
@@ -117,8 +117,8 @@ struct ClusterView {
   /// Structured per-dispatch records (candidate scores, chosen node,
   /// reason); null = off.
   obs::DecisionLog* decisions = nullptr;
-  /// Counter handle bumped when the reservation gate excludes the masters
-  /// from a dynamic request's candidate set; null = off.
+  /// Count incremented when the reservation gate excludes the masters
+  /// from a dynamic request's candidate set; null = untracked.
   std::uint64_t* reservation_rejections = nullptr;
   /// Dispatch time, stamped on decision records by the cluster.
   Time now = 0;

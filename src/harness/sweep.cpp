@@ -1,6 +1,7 @@
 #include "harness/sweep.hpp"
 
 #include <stdexcept>
+#include <variant>
 
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -167,111 +168,35 @@ ResultRow experiment_row(const GridPoint& point) {
   return row;
 }
 
+void append_metric_group(ResultRow& row,
+                         const core::ExperimentResult& result,
+                         core::MetricGroup group) {
+  for (const core::Metric& metric : core::metric_table()) {
+    if (metric.group != group || metric.column == nullptr) continue;
+    std::visit([&](const auto& value) { row.set(metric.column, value); },
+               metric.source(result));
+  }
+}
+
 void append_metrics(ResultRow& row, const core::ExperimentResult& result) {
-  const core::MetricsSummary& m = result.run.metrics;
-  row.set("scheduler", result.scheduler)
-      .set("m", result.m_used)
-      .set("stretch", m.stretch)
-      .set("stretch_static", m.stretch_static)
-      .set("stretch_dynamic", m.stretch_dynamic)
-      .set("mean_response_s", m.mean_response_s)
-      .set("p95_response_s", m.p95_response_s)
-      .set("p99_response_s", m.p99_response_s)
-      .set("max_stretch", m.max_stretch)
-      .set("completed", static_cast<unsigned long long>(m.completed))
-      .set("cache_hit_ratio", result.run.cache_hit_ratio)
-      .set("availability", result.run.availability)
-      .set("redispatches",
-           static_cast<unsigned long long>(result.run.redispatches))
-      .set("timeouts", static_cast<unsigned long long>(result.run.timeouts))
-      .set("promotions",
-           static_cast<unsigned long long>(result.run.promotions))
-      .set("node_crashes",
-           static_cast<unsigned long long>(result.run.node_crashes))
-      .set("stretch_tail", m.stretch_tail)
-      .set("stretch_disrupted", m.stretch_disrupted)
-      .set("completed_disrupted",
-           static_cast<unsigned long long>(m.completed_disrupted))
-      .set("theta_limit", result.run.theta_limit)
-      .set("a_hat", result.run.a_hat)
-      .set("r_hat", result.run.r_hat)
-      .set("goodput_rps", result.run.goodput_rps)
-      .set("slo_attainment", m.slo_attainment)
-      .set("p95_stretch", m.p95_stretch)
-      .set("p95_stretch_static", m.p95_stretch_static)
-      .set("shed", static_cast<unsigned long long>(result.run.shed))
-      .set("abandoned",
-           static_cast<unsigned long long>(result.run.abandoned))
-      .set("overload_retries",
-           static_cast<unsigned long long>(result.run.overload_retries))
-      .set("breaker_trips",
-           static_cast<unsigned long long>(result.run.breaker_trips))
-      .set("degraded_entries",
-           static_cast<unsigned long long>(result.run.degraded_entries));
+  append_metric_group(row, result, core::MetricGroup::kCore);
 }
 
 void append_net_metrics(ResultRow& row, const core::ExperimentResult& result) {
-  const core::RunResult& r = result.run;
-  row.set("submitted", static_cast<unsigned long long>(r.submitted))
-      .set("completed_total", static_cast<unsigned long long>(r.completed))
-      .set("net_sent", static_cast<unsigned long long>(r.net_sent))
-      .set("net_lost", static_cast<unsigned long long>(r.net_lost))
-      .set("net_duplicates",
-           static_cast<unsigned long long>(r.net_duplicates))
-      .set("net_rpc_retries",
-           static_cast<unsigned long long>(r.net_rpc_retries))
-      .set("net_rpc_failures",
-           static_cast<unsigned long long>(r.net_rpc_failures))
-      .set("net_reports", static_cast<unsigned long long>(r.net_reports))
-      .set("net_stale_fallbacks",
-           static_cast<unsigned long long>(r.net_stale_fallbacks))
-      .set("net_partitions",
-           static_cast<unsigned long long>(r.net_partitions))
-      .set("net_stepdowns",
-           static_cast<unsigned long long>(r.net_stepdowns))
-      .set("net_split_brain_rounds",
-           static_cast<unsigned long long>(r.net_split_brain_rounds));
+  append_metric_group(row, result, core::MetricGroup::kLedger);
+  append_metric_group(row, result, core::MetricGroup::kNet);
 }
 
 void append_ctrl_metrics(ResultRow& row,
                          const core::ExperimentResult& result) {
-  const core::RunResult& r = result.run;
-  row.set("submitted", static_cast<unsigned long long>(r.submitted))
-      .set("completed_total", static_cast<unsigned long long>(r.completed))
-      .set("ctrl_retunes", static_cast<unsigned long long>(r.ctrl_retunes))
-      .set("ctrl_scale_ups",
-           static_cast<unsigned long long>(r.ctrl_scale_ups))
-      .set("ctrl_scale_downs",
-           static_cast<unsigned long long>(r.ctrl_scale_downs))
-      .set("ctrl_migrations",
-           static_cast<unsigned long long>(r.ctrl_migrations))
-      .set("ctrl_retargets",
-           static_cast<unsigned long long>(r.ctrl_retargets))
-      .set("ctrl_w_hat", r.ctrl_w_hat)
-      .set("ctrl_r_hat", r.ctrl_r_hat)
-      .set("energy_node_s", r.energy_node_s)
-      .set("powered_min", r.powered_min);
+  append_metric_group(row, result, core::MetricGroup::kLedger);
+  append_metric_group(row, result, core::MetricGroup::kCtrl);
 }
 
 void append_gray_metrics(ResultRow& row,
                          const core::ExperimentResult& result) {
-  const core::RunResult& r = result.run;
-  row.set("submitted", static_cast<unsigned long long>(r.submitted))
-      .set("completed_total", static_cast<unsigned long long>(r.completed))
-      .set("degrade_events",
-           static_cast<unsigned long long>(r.degrade_events))
-      .set("degraded_node_s", r.degraded_node_s)
-      .set("slow_degraded",
-           static_cast<unsigned long long>(r.slow_degraded))
-      .set("slow_recovered",
-           static_cast<unsigned long long>(r.slow_recovered))
-      .set("hedges_launched",
-           static_cast<unsigned long long>(r.hedges_launched))
-      .set("hedge_wins", static_cast<unsigned long long>(r.hedge_wins))
-      .set("hedge_cancellations",
-           static_cast<unsigned long long>(r.hedge_cancellations))
-      .set("hedges_skipped",
-           static_cast<unsigned long long>(r.hedges_skipped));
+  append_metric_group(row, result, core::MetricGroup::kLedger);
+  append_metric_group(row, result, core::MetricGroup::kGray);
 }
 
 void append_span_metrics(ResultRow& row,
@@ -290,6 +215,16 @@ void append_span_metrics(ResultRow& row,
   }
   row.set("span_closure_violations",
           static_cast<unsigned long long>(s.closure_violations));
+}
+
+ResultRow full_row(const core::ExperimentResult& result) {
+  ResultRow row;
+  append_metrics(row, result);
+  append_net_metrics(row, result);
+  append_ctrl_metrics(row, result);
+  append_gray_metrics(row, result);
+  append_span_metrics(row, result);
+  return row;
 }
 
 }  // namespace wsched::harness

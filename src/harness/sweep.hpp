@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/metric_table.hpp"
 #include "harness/artifacts.hpp"
 
 namespace wsched::harness {
@@ -142,6 +143,11 @@ SweepRun run_sweep(const SweepSpec& spec, const SweepOptions& options,
 /// state). Benches needing derived columns wrap it or roll their own.
 ResultRow experiment_row(const GridPoint& point);
 
+/// Appends the columns of one core/metric_table.hpp group, in table
+/// order. The append_* functions below are fixed group sequences.
+void append_metric_group(ResultRow& row, const core::ExperimentResult& result,
+                         core::MetricGroup group);
+
 /// Appends the stable metrics schema of one experiment result to `row`.
 void append_metrics(ResultRow& row, const core::ExperimentResult& result);
 
@@ -176,5 +182,9 @@ void append_gray_metrics(ResultRow& row,
 /// spans-off schema — and its byte-identity contract — never changes.
 void append_span_metrics(ResultRow& row,
                         const core::ExperimentResult& result);
+
+/// The full schema the chaos runner hashes: append_metrics, then the net,
+/// ctrl, gray and span groups.
+ResultRow full_row(const core::ExperimentResult& result);
 
 }  // namespace wsched::harness

@@ -30,7 +30,6 @@
 
 #include "fault/health.hpp"
 #include "net/network.hpp"
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
@@ -59,8 +58,6 @@ class NetHealth {
   struct Hooks {
     obs::TraceSink* trace = nullptr;
     int cluster_pid = 0;
-    std::uint64_t* stepdowns = nullptr;
-    std::uint64_t* split_brain_rounds = nullptr;
   };
 
   using TransitionFn =

@@ -120,14 +120,10 @@ enum class MsgKind : std::uint8_t {
   kControl,  ///< load reports, acks (control_latency_s / control_jitter_s)
 };
 
-/// Observability hooks (all optional; a null pointer costs one branch).
+/// Observability hooks (optional; a null sink costs one branch).
 struct NetworkHooks {
   obs::TraceSink* trace = nullptr;
   int cluster_pid = 0;
-  std::uint64_t* sent = nullptr;
-  std::uint64_t* lost = nullptr;             ///< random wire loss
-  std::uint64_t* partition_drops = nullptr;  ///< dropped across a partition
-  std::uint64_t* partitions = nullptr;       ///< partition windows opened
 };
 
 class Network {

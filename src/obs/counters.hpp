@@ -1,11 +1,8 @@
 // Named monotonic counters for one run.
 //
-// A CounterRegistry hands out stable `std::uint64_t*` handles keyed by
-// name; instrumentation sites resolve their handle once at setup and bump
-// it with a plain increment on the hot path (or skip the bump entirely
-// when observability is off — the null-pointer branch is the whole cost).
-// Names are dotted paths ("dispatch.remote", "cpu.context_switches") so
-// exports group naturally.
+// A CounterRegistry maps dotted names ("subsystem.outcome") to totals, so
+// exports group naturally. ClusterSim fills it once, after the run, from
+// the metric table (core/metric_table.hpp); nothing reads it mid-run.
 #pragma once
 
 #include <cstdint>

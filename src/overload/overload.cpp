@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/counters.hpp"
 #include "obs/log.hpp"
 
 namespace wsched::overload {
@@ -58,7 +57,6 @@ void OverloadController::on_tick() {
     const int change = saturation_.on_signal(mean_queue, now);
     if (change != 0) {
       const bool entered = change > 0;
-      if (entered) obs::bump(hooks_.degraded_entries);
       if (hooks_.trace != nullptr)
         hooks_.trace->instant(obs::Category::kDispatch,
                               entered ? "degraded-enter" : "degraded-exit",
@@ -121,7 +119,6 @@ void OverloadController::on_deadline(std::uint64_t id) {
     if (node->alive()) freed = node->abort(id);
   }
   ++abandoned_;
-  obs::bump(hooks_.abandoned);
   if (hooks_.trace != nullptr)
     hooks_.trace->instant(obs::Category::kDispatch, "abandon",
                           hooks_.cluster_pid, obs::kLaneOverload,
@@ -188,7 +185,6 @@ bool OverloadController::on_complete(const sim::Job& job, int node,
 
 void OverloadController::count_retry(std::uint64_t id) {
   ++retries_;
-  obs::bump(hooks_.retries);
   if (hooks_.trace != nullptr)
     hooks_.trace->instant(obs::Category::kDispatch, "retry",
                           hooks_.cluster_pid, obs::kLaneOverload,
@@ -198,7 +194,6 @@ void OverloadController::count_retry(std::uint64_t id) {
 void OverloadController::count_shed(std::uint64_t id) {
   forget(id);
   ++shed_;
-  obs::bump(hooks_.shed);
   if (hooks_.trace != nullptr)
     hooks_.trace->instant(obs::Category::kDispatch, "shed",
                           hooks_.cluster_pid, obs::kLaneOverload,
@@ -226,10 +221,7 @@ void OverloadController::sync_breaker_trips() {
   obs::logf(obs::LogLevel::kInfo, "overload",
             "t=%.3fs circuit breaker tripped (%d node(s) not closed)",
             to_seconds(engine_.now()), breakers_.tripped_count());
-  while (last_trips_ < trips) {
-    obs::bump(hooks_.breaker_trips);
-    ++last_trips_;
-  }
+  last_trips_ = trips;
 }
 
 }  // namespace wsched::overload

@@ -64,16 +64,11 @@ struct OverloadConfig {
   }
 };
 
-/// Observability surface the controller reports through; every pointer may
-/// be null (see obs/observer.hpp's null-safe conventions).
+/// Observability surface the controller reports through; the sink may be
+/// null (see obs/observer.hpp's null-safe conventions).
 struct OverloadHooks {
   obs::TraceSink* trace = nullptr;
   int cluster_pid = 0;
-  std::uint64_t* shed = nullptr;
-  std::uint64_t* retries = nullptr;
-  std::uint64_t* abandoned = nullptr;
-  std::uint64_t* breaker_trips = nullptr;
-  std::uint64_t* degraded_entries = nullptr;
 };
 
 class OverloadController {
@@ -159,7 +154,7 @@ class OverloadController {
 
   void on_deadline(std::uint64_t id);
   void on_tick();
-  /// Bumps trip accounting for any breaker transition since the last call.
+  /// Traces a breaker trip that happened since the last call.
   void sync_breaker_trips();
 
   sim::Engine& engine_;

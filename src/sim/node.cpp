@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/counters.hpp"
-
 namespace wsched::sim {
 
 namespace {
@@ -70,7 +68,7 @@ void Node::submit(Job job) {
   // is CPU work at the front of the first burst.
   if (req.is_dynamic()) {
     proc->cycles.front().cpu += os_.fork_overhead;
-    obs::bump(obs_.forks);
+    ++counts_.forks;
   }
   if (obs_.trace != nullptr) {
     obs_.trace->async_begin(
@@ -146,7 +144,7 @@ void Node::preempt_running() {
   proc->cpu_left -= std::min(proc->cpu_left, work_used);
   cpu_busy_ += wall_used;
   total_cpu_service_ += work_used;
-  obs::bump(obs_.preemptions);
+  ++counts_.preemptions;
   if (obs_.trace != nullptr && wall_used > 0)
     obs_.trace->span(obs::Category::kCpu, "cpu-slice", id_, obs::kLaneCpu,
                      slice_start_, wall_used,
@@ -167,7 +165,7 @@ void Node::try_dispatch() {
   const Time cs = (proc == last_on_cpu_) ? 0 : os_.context_switch;
   cpu_busy_ += cs;
   total_context_switch_ += cs;
-  if (cs > 0) obs::bump(obs_.context_switches);
+  if (cs > 0) ++counts_.context_switches;
   last_on_cpu_ = proc;
 
   slice_start_ = engine_.now() + cs;
@@ -190,7 +188,7 @@ void Node::on_cpu_slice_end(std::uint64_t token) {
   proc->cpu_left -= std::min(proc->cpu_left, slice_work_);
   cpu_busy_ += cpu_wall(slice_work_);
   total_cpu_service_ += slice_work_;
-  obs::bump(obs_.cpu_slices);
+  ++counts_.cpu_slices;
   if (obs_.trace != nullptr)
     obs_.trace->span(obs::Category::kCpu, "cpu-slice", id_, obs::kLaneCpu,
                      slice_start_, cpu_wall(slice_work_),
@@ -239,7 +237,7 @@ void Node::on_disk_slice_end(std::uint64_t token) {
   proc->io_left -= std::min(proc->io_left, disk_slice_work_);
   disk_busy_ += disk_wall(disk_slice_work_);
   total_disk_service_ += disk_slice_work_;
-  obs::bump(obs_.disk_slices);
+  ++counts_.disk_slices;
   if (obs_.trace != nullptr)
     obs_.trace->span(obs::Category::kDisk, "disk-slice", id_,
                      obs::kLaneDisk, disk_slice_start_,

@@ -22,16 +22,19 @@ namespace wsched::sim {
 
 /// Observability hooks one node reports into; every pointer may be null
 /// (the default), in which case the corresponding site is a single
-/// predictable branch. Counters are cluster-wide aggregates owned by the
-/// caller's obs::CounterRegistry.
+/// predictable branch.
 struct NodeObsHooks {
   obs::TraceSink* trace = nullptr;
   obs::SpanRecorder* spans = nullptr;
-  std::uint64_t* forks = nullptr;
-  std::uint64_t* context_switches = nullptr;
-  std::uint64_t* preemptions = nullptr;
-  std::uint64_t* cpu_slices = nullptr;
-  std::uint64_t* disk_slices = nullptr;
+};
+
+/// Scheduler events one node has executed.
+struct NodeCounts {
+  std::uint64_t forks = 0;             ///< CGI process creations
+  std::uint64_t context_switches = 0;  ///< switches that charged a cost
+  std::uint64_t preemptions = 0;
+  std::uint64_t cpu_slices = 0;        ///< CPU slices run to their end
+  std::uint64_t disk_slices = 0;
 };
 
 class Node {
@@ -48,7 +51,7 @@ class Node {
   /// Invoked when a job finishes all of its bursts.
   void set_completion_callback(CompletionFn fn) { on_complete_ = std::move(fn); }
 
-  /// Attaches tracing/counter hooks (all-null by default: zero effect).
+  /// Attaches tracing hooks (all-null by default: zero effect).
   void set_obs(const NodeObsHooks& hooks) { obs_ = hooks; }
 
   /// Accepts a job at the current engine time: charges fork overhead for
@@ -125,6 +128,7 @@ class Node {
     return disk_sched_.size() + (disk_active_ != nullptr ? 1 : 0);
   }
   std::uint64_t completed() const { return completed_; }
+  const NodeCounts& counts() const { return counts_; }
   const MemoryManager& memory() const { return memory_; }
   const NodeParams& params() const { return params_; }
 
@@ -205,6 +209,7 @@ class Node {
   bool tick_active_ = false;
 
   NodeObsHooks obs_;
+  NodeCounts counts_;
   CompletionFn on_complete_;
 
   Time cpu_busy_ = 0;   ///< completed busy wall time (incl. switches)

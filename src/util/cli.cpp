@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -43,23 +44,47 @@ std::vector<std::string> CliArgs::get_all(const std::string& name) const {
   return it == flags_.end() ? std::vector<std::string>{} : it->second;
 }
 
+namespace {
+
+[[noreturn]] void reject(const std::string& name, const std::string& value,
+                         const char* expected) {
+  throw std::invalid_argument("--" + name + " expects " + expected +
+                              ", got '" + value + "'");
+}
+
+}  // namespace
+
 long long CliArgs::get_int(const std::string& name, long long fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::stoll(it->second.back());
+  const std::string& v = it->second.back();
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v.c_str(), &end, 10);
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE)
+    reject(name, v, "an integer");
+  return parsed;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::stod(it->second.back());
+  const std::string& v = it->second.back();
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(v.c_str(), &end);
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE)
+    reject(name, v, "a number");
+  return parsed;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   const std::string& v = it->second.back();
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  reject(name, v, "1/0, true/false, yes/no or on/off");
 }
 
 std::vector<std::string> CliArgs::flag_names() const {

@@ -23,6 +23,9 @@ class CliArgs {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Typed getters: the whole value must parse (a base-10 integer, a
+  /// number, or one of 1/0, true/false, yes/no, on/off), otherwise they
+  /// throw std::invalid_argument naming the flag and the value.
   long long get_int(const std::string& name, long long fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

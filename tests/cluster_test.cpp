@@ -373,13 +373,7 @@ TEST(Hedge, InvalidConfigThrows) {
 
 /// The chaos runner's canonical full-schema row hash of one result.
 std::uint64_t row_hash(const ExperimentResult& result) {
-  harness::ResultRow row;
-  harness::append_metrics(row, result);
-  harness::append_net_metrics(row, result);
-  harness::append_ctrl_metrics(row, result);
-  harness::append_gray_metrics(row, result);
-  harness::append_span_metrics(row, result);
-  return check::fnv1a(harness::csv_string({row}));
+  return check::fnv1a(harness::csv_string({harness::full_row(result)}));
 }
 
 /// run_experiment streams the spec's records; replaying the materialized

@@ -196,7 +196,7 @@ TEST(CachedCluster, HitsReduceStretch) {
   core::ClusterSim cached(cached_config(8, 3, 256), core::make_ms());
   const core::RunResult with_cache = cached.run(trace);
   EXPECT_GT(with_cache.cache_lookups, 0u);
-  EXPECT_GT(with_cache.cache_hit_ratio, 0.10);
+  EXPECT_GT(with_cache.cache_hit_ratio(), 0.10);
   EXPECT_LT(with_cache.metrics.stretch, base.metrics.stretch);
   EXPECT_EQ(with_cache.completed, with_cache.submitted);
 }

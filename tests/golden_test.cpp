@@ -179,17 +179,6 @@ std::string counter_lines(const obs::CounterRegistry& registry) {
   return out;
 }
 
-/// The chaos runner's full-schema row of one result, as CSV.
-std::string full_row_csv(const core::ExperimentResult& result) {
-  harness::ResultRow row;
-  harness::append_metrics(row, result);
-  harness::append_net_metrics(row, result);
-  harness::append_ctrl_metrics(row, result);
-  harness::append_gray_metrics(row, result);
-  harness::append_span_metrics(row, result);
-  return harness::csv_string({row});
-}
-
 /// Runs `spec` with a counter registry attached; returns the snapshot
 /// lines and the full-schema row.
 struct CounterRun {
@@ -202,7 +191,7 @@ void run_counted(core::ExperimentSpec spec, CounterRun& out) {
   spec.observer.counters = &out.registry;
   const auto result = core::run_experiment(spec);
   out.lines = counter_lines(out.registry);
-  out.row = full_row_csv(result);
+  out.row = harness::csv_string({harness::full_row(result)});
 }
 
 bool has_prefix(const obs::CounterRegistry& registry, const char* prefix) {

@@ -267,7 +267,7 @@ TEST(ClusterNet, LossyRunClosesTheLedgerAndIsDeterministic) {
   expect_identical(a.run, b.run);
   EXPECT_TRUE(a.run.net_enabled);
   EXPECT_GT(a.run.net_sent, 0u);
-  EXPECT_GT(a.run.net_lost, 0u);
+  EXPECT_GT(a.run.net_lost(), 0u);
   EXPECT_GT(a.run.net_rpc_retries, 0u);
   EXPECT_GT(a.run.net_reports, 0u);
   // Accounting closure: every submitted request completed or was counted

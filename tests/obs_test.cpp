@@ -20,6 +20,7 @@
 #include <chrono>
 
 #include "core/experiment.hpp"
+#include "core/metric_table.hpp"
 #include "harness/sweep.hpp"
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
@@ -404,6 +405,23 @@ TEST(ObsCounters, MatchIndependentlyComputedValues) {
   for (const obs::DecisionRecord& record : decisions.records())
     if (record.remote) ++remote;
   EXPECT_EQ(registry.value("dispatch.remote"), remote);
+}
+
+TEST(ObsCounters, MetricTableNamesAreUniqueAndCountersAreCounts) {
+  std::set<std::string> columns, counters;
+  const core::ExperimentResult result;
+  for (const core::Metric& metric : core::metric_table()) {
+    ASSERT_TRUE(metric.column != nullptr || metric.counter != nullptr);
+    if (metric.column != nullptr) {
+      EXPECT_TRUE(columns.insert(metric.column).second) << metric.column;
+    }
+    if (metric.counter == nullptr) continue;
+    EXPECT_TRUE(counters.insert(metric.counter).second) << metric.counter;
+    EXPECT_TRUE(std::holds_alternative<unsigned long long>(
+        metric.source(result)))
+        << metric.counter;
+  }
+  EXPECT_EQ(counters.size(), 41u);
 }
 
 TEST(ObsCounters, CacheCountersMatchRunResult) {

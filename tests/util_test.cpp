@@ -300,6 +300,56 @@ TEST(Cli, BoolValues) {
   EXPECT_FALSE(args.get_bool("off", true));
 }
 
+/// The message of the std::invalid_argument `read` throws ("" if none).
+template <typename Read>
+std::string cli_error(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, NumbersMustConsumeTheWholeValue) {
+  const char* argv[] = {"prog", "--p", "1e3", "--jobs=2x", "--seed", "12abc",
+                        "--lambda", "3.5x", "--mu", "1e3", "--n=-4"};
+  CliArgs args(11, argv);
+  EXPECT_EQ(cli_error([&] { args.get_int("p", 32); }),
+            "--p expects an integer, got '1e3'");
+  EXPECT_EQ(cli_error([&] { args.get_int("jobs", 0); }),
+            "--jobs expects an integer, got '2x'");
+  EXPECT_EQ(cli_error([&] { args.get_int("seed", 1); }),
+            "--seed expects an integer, got '12abc'");
+  EXPECT_EQ(cli_error([&] { args.get_double("lambda", 1.0); }),
+            "--lambda expects a number, got '3.5x'");
+  EXPECT_DOUBLE_EQ(args.get_double("mu", 0.0), 1000.0);
+  EXPECT_EQ(args.get_int("n", 0), -4);
+}
+
+TEST(Cli, EmptyOrOutOfRangeNumbersThrow) {
+  const char* argv[] = {"prog", "--a=", "--b=99999999999999999999",
+                        "--c=1e999"};
+  CliArgs args(4, argv);
+  EXPECT_THROW(args.get_int("a", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("a", 0.0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("b", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("c", 0.0), std::invalid_argument);
+}
+
+TEST(Cli, BoolAcceptsOnlyKnownWords) {
+  const char* argv[] = {"prog", "--a=yes", "--b=no", "--c=on", "--d=off",
+                        "--e=false", "--hedge=ture"};
+  CliArgs args(7, argv);
+  EXPECT_TRUE(args.get_bool("a", false));
+  EXPECT_FALSE(args.get_bool("b", true));
+  EXPECT_TRUE(args.get_bool("c", false));
+  EXPECT_FALSE(args.get_bool("d", true));
+  EXPECT_FALSE(args.get_bool("e", true));
+  EXPECT_EQ(cli_error([&] { args.get_bool("hedge", true); }),
+            "--hedge expects 1/0, true/false, yes/no or on/off, got 'ture'");
+}
+
 TEST(Cli, RepeatedFlagsAccumulate) {
   const char* argv[] = {"prog", "--filter", "trace=UCB", "--filter=p=32",
                         "--filter", "lambda=1000"};
