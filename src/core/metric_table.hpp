@@ -14,16 +14,15 @@
 // is the alternative its source returns.
 #pragma once
 
+#include <span>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "obs/counters.hpp"
 
 namespace wsched::core {
 
 struct ExperimentResult;
-struct RunResult;
 
 /// Which append_* call writes a row's column.
 enum class MetricGroup {
@@ -54,7 +53,7 @@ struct Metric {
 };
 
 /// Every metric, in column order within each group.
-const std::vector<Metric>& metric_table();
+std::span<const Metric> metric_table();
 
 /// Adds each gated-on counter row's value to `registry` (`+=`, so a
 /// registry shared across runs accumulates).

@@ -143,35 +143,24 @@ SweepRun run_sweep(const SweepSpec& spec, const SweepOptions& options,
 /// state). Benches needing derived columns wrap it or roll their own.
 ResultRow experiment_row(const GridPoint& point);
 
-/// Appends the columns of one core/metric_table.hpp group, in table
-/// order. The append_* functions below are fixed group sequences.
+/// Appends the columns of one core/metric_table.hpp group, in table order.
 void append_metric_group(ResultRow& row, const core::ExperimentResult& result,
                          core::MetricGroup group);
 
-/// Appends the stable metrics schema of one experiment result to `row`.
+// Fixed group sequences. The extension groups stay out of append_metrics
+// so the established sweep schema, and its byte-identity contract, never
+// changes; net-, ctrl- and gray-aware benches call both. Each extension
+// call also appends the submitted/completed_total ledger pair the
+// accounting-closure check reads.
+
+/// The core group: the stable metrics schema.
 void append_metrics(ResultRow& row, const core::ExperimentResult& result);
-
-/// Appends the net-model statistics (sent/lost/duplicates/retries,
-/// stale fallbacks, partitions, step-downs, split-brain rounds) plus the
-/// submitted/completed pair the accounting-closure check needs. Kept
-/// separate from append_metrics so the established sweep schema (and its
-/// byte-identity contract) never changes; net-aware benches call both.
+/// The ledger pair, then the net-model group.
 void append_net_metrics(ResultRow& row, const core::ExperimentResult& result);
-
-/// Appends the control-plane statistics (retunes, scale-ups/-downs,
-/// migrations, retargets, final w/r estimates, powered-node-seconds energy
-/// and the powered floor). Same byte-identity rationale as
-/// append_net_metrics: ctrl-aware benches call both this and
-/// append_metrics, the established schema never changes.
+/// The ledger pair, then the control-plane group.
 void append_ctrl_metrics(ResultRow& row,
                          const core::ExperimentResult& result);
-
-/// Appends the gray-failure statistics (fail-slow episodes and limping
-/// node-seconds, watchdog degrade/recover transitions, hedge launches /
-/// wins / cancellations / skips) plus the submitted/completed pair the
-/// ledger-closure check needs. Same byte-identity rationale as
-/// append_net_metrics: gray-aware benches call both this and
-/// append_metrics, the established schema never changes.
+/// The ledger pair, then the gray-failure group.
 void append_gray_metrics(ResultRow& row,
                          const core::ExperimentResult& result);
 
