@@ -179,20 +179,19 @@ std::string counter_lines(const obs::CounterRegistry& registry) {
   return out;
 }
 
-/// Runs `spec` with a counter registry attached; returns the snapshot
-/// lines and the full-schema row.
+/// One run with a counter registry attached: the snapshot lines and the
+/// full-schema row.
 struct CounterRun {
+  explicit CounterRun(core::ExperimentSpec spec) {
+    spec.observer.counters = &registry;
+    const auto result = core::run_experiment(spec);
+    lines = counter_lines(registry);
+    row = harness::csv_string({harness::full_row(result)});
+  }
   obs::CounterRegistry registry;
   std::string lines;
   std::string row;
 };
-
-void run_counted(core::ExperimentSpec spec, CounterRun& out) {
-  spec.observer.counters = &out.registry;
-  const auto result = core::run_experiment(spec);
-  out.lines = counter_lines(out.registry);
-  out.row = harness::csv_string({harness::full_row(result)});
-}
 
 bool has_prefix(const obs::CounterRegistry& registry, const char* prefix) {
   for (const auto& [name, value] : registry.snapshot())
@@ -209,8 +208,8 @@ bool any_nonzero(const obs::CounterRegistry& registry, const char* prefix) {
 TEST(GoldenArtifacts, CounterSnapshotIsBitStable) {
   // (a) Every runtime layer of the faulted-stack workload (net, fault with
   // fail-slow episodes, watchdog, hedging, overload, ctrl, spans), plus the
-  // CGI cache and queue-depth shedding, with a scripted master crash so the
-  // failover counters move inside the short run.
+  // CGI cache and queue-depth shedding. Scripted crashes and a partition
+  // make the failover and quorum counters move inside the short run.
   core::ExperimentSpec stack = grid_point_spec();
   stack.lambda = 600;
   stack.net.enabled = true;
@@ -258,10 +257,7 @@ TEST(GoldenArtifacts, CounterSnapshotIsBitStable) {
   // (c) Every layer off.
   const core::ExperimentSpec plain = grid_point_spec();
 
-  CounterRun a, b, c;
-  run_counted(stack, a);
-  run_counted(scale, b);
-  run_counted(plain, c);
+  const CounterRun a(stack), b(scale), c(plain);
   const std::uint64_t hashes[6] = {fnv1a(a.lines), fnv1a(a.row),
                                    fnv1a(b.lines), fnv1a(b.row),
                                    fnv1a(c.lines), fnv1a(c.row)};
