@@ -1563,6 +1563,8 @@ RunResult ClusterSim::run(trace::RecordSource& source) {
     result.cache_lookups += cache.lookups();
   }
   if (counters == nullptr) return result;
+  // The metric table reads experiment-level results; its counter rows
+  // touch only `run`, so wrapping the result is enough.
   ExperimentResult published;
   published.run = std::move(result);
   publish_counters(published, *counters);
