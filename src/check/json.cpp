@@ -21,9 +21,13 @@ class Parser {
   }
 
  private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::invalid_argument("json: " + std::string(what) +
-                                " at byte " + std::to_string(pos_));
+  /// Schedules nest three levels deep at most; the cap keeps hostile
+  /// input from exhausting the stack through the recursive descent.
+  static constexpr int kMaxDepth = 64;
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::invalid_argument("json: " + what + " at byte " +
+                                std::to_string(pos_));
   }
 
   void skip_ws() {
@@ -63,9 +67,14 @@ class Parser {
   JsonValue parse_value() {
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -209,6 +218,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays and objects around pos_
 };
 
 }  // namespace

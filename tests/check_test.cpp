@@ -63,6 +63,23 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW(parse_json("nul"), std::invalid_argument);
 }
 
+TEST(Json, DeepNestingIsRejectedNotACrash) {
+  // 64 levels parse; one more is refused with the depth and byte offset.
+  const std::string ok = std::string(64, '[') + std::string(64, ']');
+  EXPECT_TRUE(parse_json(ok).is(JsonValue::Kind::kArray));
+  try {
+    parse_json(std::string(65, '[') + std::string(65, ']'));
+    FAIL() << "65 levels accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "json: nesting deeper than 64 levels at byte 64");
+  }
+  // A hostile file far deeper than any stack allows, objects included.
+  EXPECT_THROW(parse_json(std::string(200000, '[')), std::invalid_argument);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse_json(objects), std::invalid_argument);
+}
+
 TEST(Json, UnicodeEscapeDecodesToUtf8) {
   const JsonValue v = parse_json(R"({"s": "éA"})");
   EXPECT_EQ(v.get_string("s", ""), "\xc3\xa9"
