@@ -13,6 +13,7 @@
 //   trace_workbench --profile ksu|all --lambda 800 --duration 20 [--bursty]
 //                   [--save /tmp/ksu.csv] [--load /tmp/ksu.csv]
 #include <cstdio>
+#include <exception>
 
 #include "harness/bench_cli.hpp"
 #include "trace/generator.hpp"
@@ -81,7 +82,14 @@ int main(int argc, char** argv) {
 
   if (cli.args.has("load")) {
     const std::string path = cli.args.get("load", "");
-    const trace::Trace t = trace::load_trace_file(path);
+    trace::Trace t;
+    try {
+      t = trace::load_trace_file(path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "trace_workbench: %s: %s\n", path.c_str(),
+                   e.what());
+      return 1;
+    }
     std::printf("Loaded %zu records from %s\n\n", t.size(), path.c_str());
     print_trace_report(t);
     return 0;

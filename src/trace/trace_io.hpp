@@ -15,8 +15,11 @@ namespace wsched::trace {
 void save_trace(std::ostream& out, const Trace& trace);
 void save_trace_file(const std::string& path, const Trace& trace);
 
-/// Parses a trace written by save_trace. Throws std::runtime_error on
-/// malformed input (wrong column count, unparsable numbers, bad class).
+/// Parses a trace written by save_trace. Throws std::runtime_error naming
+/// the line and field on malformed input: a wrong column count, a number
+/// that does not parse in full or does not fit its field, a bad class, a
+/// negative or decreasing arrival, a non-positive service demand, a
+/// cpu_fraction outside [0, 1] (NaN included) or zero mem_pages.
 Trace load_trace(std::istream& in);
 Trace load_trace_file(const std::string& path);
 
