@@ -6,6 +6,10 @@
 // redirected, the remote-CGI dispatch latency is charged; the target node
 // forks/pages/schedules it through CPU and disk bursts; on completion the
 // metrics and the reservation controller's response estimates are updated.
+// Each replay runs as one run object whose methods are these steps
+// (deliver, admit, dispatch, hop, land, complete, and the failover, shed,
+// hedge and terminal exits); DESIGN.md section 3, "Request lifecycle in
+// ClusterSim", maps them.
 #pragma once
 
 #include <cstdint>
