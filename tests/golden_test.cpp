@@ -84,6 +84,14 @@ constexpr LandingPin kLandingPins[] = {
     {4796, 2162689349120751920ull, 3249138973088111914ull},
     {3488, 17661856951614666375ull, 263523149560331681ull},
 };
+// Traced health-gate runs (HealthGatesAreBitStable, runs a-e), same shape.
+constexpr LandingPin kHealthGatePins[] = {
+    {3516, 5864165340606032307ull, 14691497354694970593ull},
+    {3492, 17460177457110346132ull, 11972417979320310788ull},
+    {4052, 10566914124409862027ull, 5814861484943709771ull},
+    {6479, 422952018983037680ull, 9382685218428817338ull},
+    {3398, 12458830620442815250ull, 1901632307302559970ull},
+};
 
 core::ExperimentSpec grid_point_spec() {
   core::ExperimentSpec spec;
@@ -444,6 +452,89 @@ TEST(GoldenArtifacts, LandingPathsAreBitStable) {
     EXPECT_EQ(runs[i].pin.events, kLandingPins[i].events) << i;
     EXPECT_EQ(runs[i].pin.trace_hash, kLandingPins[i].trace_hash) << i;
     EXPECT_EQ(runs[i].pin.row_hash, kLandingPins[i].row_hash) << i;
+  }
+}
+
+TEST(GoldenArtifacts, HealthGatesAreBitStable) {
+  // Gates that decide whether a node may take work at all, each reached
+  // by a run that no pin above covers:
+  // (a) fail-slow churn with the latency watchdog excluding degraded
+  //     nodes, net off;
+  // (b) the fault layer off and one node limping at a tenth of its speed,
+  //     which the watchdog excludes;
+  // (c) a partition over the lossy net model with the fault layer on: the
+  //     minority master steps down and slaves are promoted;
+  // (d) Flat with queue-trip circuit breakers, so the front end's random
+  //     pool shrinks to the admitted nodes;
+  // (e) M/S' with autoscaling, so receivers skip powered-down nodes.
+  core::ExperimentSpec slow_churn = grid_point_spec();
+  slow_churn.fault.enabled = true;
+  slow_churn.fault.degrade_mttf_s = 1.0;
+  slow_churn.fault.degrade_mttr_s = 0.5;
+  slow_churn.fault.degrade_cpu_factor = 0.1;
+  slow_churn.slow_health.enabled = true;
+  slow_churn.slow_health.exclude = true;
+
+  core::ExperimentSpec limping = grid_point_spec();
+  limping.node_params.assign(8, sim::NodeParams{});
+  limping.node_params[7] = {.cpu_speed = 0.1, .disk_speed = 0.1};
+  limping.slow_health.enabled = true;
+  limping.slow_health.exclude = true;
+  limping.slow_health.min_samples = 8;
+
+  core::ExperimentSpec partition = grid_point_spec();
+  partition.net.enabled = true;
+  partition.net.loss = 0.01;
+  partition.net.partitions = {net::parse_partition_spec("0.8:1.4:0-2|3-7")};
+  partition.fault.enabled = true;
+
+  core::ExperimentSpec flat_breakers = grid_point_spec();
+  flat_breakers.kind = core::SchedulerKind::kFlat;
+  flat_breakers.lambda = 600;
+  flat_breakers.overload.breaker.enabled = true;
+  flat_breakers.overload.breaker.queue_trip = 2.0;
+  flat_breakers.overload.breaker.queue_trip_rounds = 2;
+
+  core::ExperimentSpec prime_scale = grid_point_spec();
+  prime_scale.kind = core::SchedulerKind::kMsPrime;
+  prime_scale.msprime_k = 2;
+  prime_scale.ctrl.enabled = true;
+  prime_scale.ctrl.autoscale = true;
+  prime_scale.ctrl.dwell_s = 0.25;
+  prime_scale.ctrl.scale_down_util = 0.6;
+
+  const LandingRun runs[] = {LandingRun(slow_churn), LandingRun(limping),
+                             LandingRun(partition), LandingRun(flat_breakers),
+                             LandingRun(prime_scale)};
+  if (print_golden()) {
+    for (const LandingRun& run : runs)
+      std::printf("health gate: {%llu, %lluull, %lluull}, slow_degraded=%llu "
+                  "stepdowns=%llu promotions=%llu trips=%llu "
+                  "scale_downs=%llu\n",
+                  static_cast<unsigned long long>(run.pin.events),
+                  static_cast<unsigned long long>(run.pin.trace_hash),
+                  static_cast<unsigned long long>(run.pin.row_hash),
+                  static_cast<unsigned long long>(
+                      run.result.run.slow_degraded),
+                  static_cast<unsigned long long>(
+                      run.result.run.net_stepdowns),
+                  static_cast<unsigned long long>(run.result.run.promotions),
+                  static_cast<unsigned long long>(
+                      run.result.run.breaker_trips),
+                  static_cast<unsigned long long>(
+                      run.result.run.ctrl_scale_downs));
+  }
+  for (const int i : {0, 1})
+    EXPECT_GT(runs[i].result.run.slow_degraded, 0u) << i;
+  EXPECT_GT(runs[2].result.run.net_stepdowns, 0u);
+  EXPECT_GT(runs[2].result.run.promotions, 0u);
+  EXPECT_GT(runs[3].result.run.breaker_trips, 0u);
+  EXPECT_GT(runs[4].result.run.ctrl_scale_downs, 0u);
+
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    EXPECT_EQ(runs[i].pin.events, kHealthGatePins[i].events) << i;
+    EXPECT_EQ(runs[i].pin.trace_hash, kHealthGatePins[i].trace_hash) << i;
+    EXPECT_EQ(runs[i].pin.row_hash, kHealthGatePins[i].row_hash) << i;
   }
 }
 
