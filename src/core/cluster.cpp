@@ -136,10 +136,7 @@ class ClusterRun {
   void start() {
     monitor_.start();
     if (faults_on_) {
-      if (net_on_)
-        net_health_->start();
-      else
-        health_->start();
+      detector_->start();
       injector_->start();
     }
     if (overload_on_) overload_->start();
@@ -195,8 +192,8 @@ class ClusterRun {
       result_.net_rpc_failures = rpc_->failures();
       result_.net_partitions = network_->partitions_seen();
       if (faults_on_) {
-        result_.net_stepdowns = net_health_->stepdowns();
-        result_.net_split_brain_rounds = net_health_->split_brain_rounds();
+        result_.net_stepdowns = detector_->stepdowns();
+        result_.net_split_brain_rounds = detector_->split_brain_rounds();
       }
     }
     if (ctrl_on_) {
@@ -337,8 +334,6 @@ class ClusterRun {
                               .initial_w = config_.ctrl.initial_w,
                               .initial_r = config_.reservation.initial_r});
     ctrl_loop_.emplace(config_.ctrl, config_.p);
-    if (ctrl_scaling_)
-      powered_state_.assign(static_cast<std::size_t>(config_.p), 1);
   }
 
   void setup_net() {
@@ -380,35 +375,31 @@ class ClusterRun {
       injector_->set_on_net_degrade([this](int node, double loss, double f) {
         network_->set_node_degradation(node, loss, f);
       });
-    const auto on_transition = [this](int node, fault::NodeHealth from,
-                                      fault::NodeHealth to) {
-      on_health(node, from, to);
-    };
-    if (!net_on_) {
-      health_.emplace(engine_, node_ptrs_, heartbeat,
-                      config_.fault.suspect_misses, config_.fault.dead_misses);
-      health_->set_on_transition(on_transition);
-      return;
-    }
-    // Distributed detection: the (p + 1) x p observer matrix replaces the
-    // single omniscient HealthMonitor (see net/net_health.hpp).
-    net_health_.emplace(
-        engine_, node_ptrs_, *network_,
+    // One heartbeat detector. Over the net model the front end hears nodes
+    // through the lossy, partitionable wire and the node rows feed the
+    // quorum gate; without it every live node is heard and there is no
+    // quorum (see net/net_health.hpp).
+    detector_.emplace(
+        engine_, node_ptrs_, network_ ? &*network_ : nullptr,
         net::NetHealth::Config{
             .period = heartbeat,
             .suspect_misses = config_.fault.suspect_misses,
             .dead_misses = config_.fault.dead_misses,
-            .loss = config_.net.loss,
-            .quorum = config_.net.quorum ? config_.p / 2 + 1 : 0,
+            .loss = net_on_ ? config_.net.loss : 0.0,
+            .quorum = net_on_ && config_.net.quorum ? config_.p / 2 + 1 : 0,
             .masters = config_.m},
         config_.seed);
-    net_health_->set_hooks({.trace = tracer_, .cluster_pid = cluster_pid_});
-    net_health_->set_on_transition(on_transition);
+    detector_->set_hooks({.trace = tracer_, .cluster_pid = cluster_pid_});
+    detector_->set_on_transition(
+        [this](int node, fault::NodeHealth from, fault::NodeHealth to) {
+          on_health(node, from, to);
+        });
+    if (!net_on_) return;
     membership_->set_promotion_gate(
         [this](int dead) { return promotion_allowed(dead); });
     membership_->set_promotion_filter(
         [this](int node) { return network_->front_end_reaches(node); });
-    net_health_->set_on_round([this] { retry_promotions(); });
+    detector_->set_on_round([this] { retry_promotions(); });
   }
 
   void setup_view() {
@@ -419,12 +410,8 @@ class ClusterRun {
     view_.m = config_.m;
     view_.reservation = &reservation_;
     view_.rng = &dispatch_rng_;
-    if (faults_on_) {
-      view_.membership = &*membership_;
-      // The front end routes on the distributed detector's own (lossy) row
-      // when the net model is on — partitions cause false suspicion there.
-      view_.health = net_on_ ? &net_health_->view() : &health_->all();
-    }
+    view_.blocked = &blocked_;
+    if (faults_on_) view_.membership = &*membership_;
     if (net_on_) {
       view_.network = &*network_;
       view_.stale = &*stale_view_;
@@ -435,13 +422,8 @@ class ClusterRun {
     if (ctrl_on_) {
       view_.ctrl_active = true;
       if (config_.ctrl.use_estimated_w) view_.ctrl_w = estimator_->w_ref();
-      if (ctrl_scaling_) view_.powered = &powered_state_;
     }
-    if (slow_on_) {
-      view_.slow_health = &slow_health_->all();
-      view_.slow_scale = &slow_health_->scale();
-      view_.slow_exclude = config_.slow_health.exclude;
-    }
+    if (slow_on_) view_.slow_scale = &slow_health_->scale();
     view_.decisions = config_.obs.decisions;
     // The slow_penalty / hedged columns are opt-in so gray-off decision
     // CSVs keep their exact (golden-hashed) bytes.
@@ -1030,11 +1012,14 @@ class ClusterRun {
     if (--remaining_ == 0) engine_.stop();
   }
 
-  /// Healthy count as the front end *believes* it: the distributed
-  /// detector's row when the net model is on (false suspicion included), the
-  /// omniscient monitor otherwise. Only meaningful with the fault layer on.
-  int declared_healthy() const {
-    return net_on_ ? net_health_->healthy_count() : health_->healthy_count();
+  /// Healthy count as the front end *believes* it (false suspicion under
+  /// the net model included). Only meaningful with the fault layer on.
+  int declared_healthy() const { return detector_->healthy_count(); }
+
+  /// Sets or clears one reason bit of `node` in the dispatch block mask.
+  void set_blocked(int node, std::uint8_t reason, bool on) {
+    std::uint8_t& bits = blocked_[static_cast<std::size_t>(node)];
+    bits = static_cast<std::uint8_t>(on ? bits | reason : bits & ~reason);
   }
 
   // --- layer callbacks ---
@@ -1051,6 +1036,8 @@ class ClusterRun {
   }
 
   void on_health(int node, fault::NodeHealth from, fault::NodeHealth to) {
+    // Dispatch excludes suspected and dead nodes alike.
+    set_blocked(node, kBlockDeclared, to != fault::NodeHealth::kHealthy);
     if (tracer_ != nullptr)
       tracer_->instant(obs::Category::kFault, "health", node, obs::kLaneFault,
                        engine_.now(),
@@ -1080,7 +1067,7 @@ class ClusterRun {
         pending_promotions_.erase(std::remove(pending_promotions_.begin(),
                                               pending_promotions_.end(), node),
                                   pending_promotions_.end());
-        net_health_->set_claim(node, membership_->is_master(node));
+        detector_->set_claim(node, membership_->is_master(node));
       }
     } else {
       return;  // suspected: candidate pools shrink, roles unchanged
@@ -1091,6 +1078,8 @@ class ClusterRun {
 
   void on_slow_health(int node, fault::NodeHealth from,
                       fault::NodeHealth to) {
+    if (config_.slow_health.exclude)
+      set_blocked(node, kBlockSlow, to == fault::NodeHealth::kDegraded);
     if (tracer_ != nullptr)
       tracer_->instant(obs::Category::kFault, "slow-health", node,
                        obs::kLaneFault, engine_.now(),
@@ -1112,7 +1101,7 @@ class ClusterRun {
               "t=%.3fs slave %d promoted to master (replacing %d)",
               to_seconds(engine_.now()), promoted, replaced);
     // The promoted node now claims the role in the distributed view.
-    if (net_on_) net_health_->set_claim(promoted, true);
+    if (net_on_) detector_->set_claim(promoted, true);
   }
 
   /// Split-brain safety: a dead master's role moves only when a majority of
@@ -1122,8 +1111,8 @@ class ClusterRun {
   bool promotion_allowed(int dead) const {
     if (!config_.net.quorum) return true;
     const int q = config_.p / 2 + 1;
-    return net_health_->dead_votes(dead) >= q &&
-           net_health_->healthy_count() >= q;
+    return detector_->dead_votes(dead) >= q &&
+           detector_->healthy_count() >= q;
   }
 
   void retry_promotions() {
@@ -1247,7 +1236,7 @@ class ClusterRun {
       cluster_probe.net_stale_fallbacks =
           static_cast<double>(result_.net_stale_fallbacks);
       cluster_probe.net_split_brain_rounds =
-          faults_on_ ? static_cast<double>(net_health_->split_brain_rounds())
+          faults_on_ ? static_cast<double>(detector_->split_brain_rounds())
                      : 0.0;
       cluster_probe.net_partition_active =
           network_->partition_active() ? 1.0 : 0.0;
@@ -1329,7 +1318,7 @@ class ClusterRun {
         static_cast<double>(powered_count_) * to_seconds(now - energy_mark_);
     energy_mark_ = now;
     node_ptrs_[static_cast<std::size_t>(woken)]->power_up();
-    powered_state_[static_cast<std::size_t>(woken)] = 1;
+    set_blocked(woken, kBlockPoweredDown, false);
     ++powered_count_;
     ++result_.ctrl_scale_ups;
     if (tracer_ != nullptr)
@@ -1354,7 +1343,7 @@ class ClusterRun {
     result_.energy_node_s +=
         static_cast<double>(powered_count_) * to_seconds(now - energy_mark_);
     energy_mark_ = now;
-    powered_state_[static_cast<std::size_t>(victim)] = 0;
+    set_blocked(victim, kBlockPoweredDown, true);
     --powered_count_;
     result_.powered_min = std::min(result_.powered_min, powered_count_);
     std::vector<sim::Job> drained =
@@ -1441,6 +1430,10 @@ class ClusterRun {
       CgiCache(config_.cgi_cache_entries, config_.cgi_cache_ttl));
   Rng dispatch_rng_{config_.seed, 0xD15};
   ClusterView view_;
+  /// Dispatch block mask (ClusterView::blocked): reason bits per node,
+  /// written where each layer hears its transition.
+  std::vector<std::uint8_t> blocked_ =
+      std::vector<std::uint8_t>(static_cast<std::size_t>(config_.p), 0);
   MetricsCollector metrics_{config_.warmup, config_.os.fork_overhead};
   /// Failover re-dispatch delays follow the shared backoff curve; the
   /// dedicated stream keeps every other consumer's draws untouched, and a
@@ -1452,7 +1445,6 @@ class ClusterRun {
   // Self-tuning control plane.
   std::optional<ctrl::ParamEstimator> estimator_;
   std::optional<ctrl::ControlLoop> ctrl_loop_;
-  std::vector<char> powered_state_;
   int powered_count_ = config_.p;
   /// result_.energy_node_s sums closed powered windows; the open one
   /// starts at energy_mark_.
@@ -1462,7 +1454,6 @@ class ClusterRun {
   std::optional<net::Network> network_;
   std::optional<net::Rpc> rpc_;
   std::optional<net::StaleClusterView> stale_view_;
-  std::optional<net::NetHealth> net_health_;
   Time report_period_ = 0;
 
   // Latency-based gray-failure watchdog.
@@ -1471,7 +1462,8 @@ class ClusterRun {
 
   // Fault injection and failover.
   std::optional<fault::Membership> membership_;
-  std::optional<fault::HealthMonitor> health_;
+  /// Heartbeat failure detector, with or without the net model.
+  std::optional<net::NetHealth> detector_;
   std::optional<fault::FaultInjector> injector_;
   /// Quorum-deferred promotions: dead masters whose replacement could not
   /// be elected yet (no majority corroboration, or the front end itself

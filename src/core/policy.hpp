@@ -17,13 +17,13 @@
 // Convention: nodes [0, m) are masters, [m, p) are slaves.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/load.hpp"
 #include "core/reservation.hpp"
-#include "fault/health.hpp"
 #include "fault/membership.hpp"
 #include "net/network.hpp"
 #include "net/stale_view.hpp"
@@ -35,6 +35,14 @@
 #include "util/time.hpp"
 
 namespace wsched::core {
+
+/// Why a node may not take work: one bit each in ClusterView::blocked.
+/// Declared: the heartbeat detector suspects it or declared it dead.
+inline constexpr std::uint8_t kBlockDeclared = 1 << 0;
+/// Slow: the latency watchdog flagged it kDegraded and excludes it.
+inline constexpr std::uint8_t kBlockSlow = 1 << 1;
+/// Powered down: the autoscaler drained it.
+inline constexpr std::uint8_t kBlockPoweredDown = 1 << 2;
 
 /// Everything a policy may consult when routing one request.
 struct ClusterView {
@@ -54,17 +62,19 @@ struct ClusterView {
   ReservationController* reservation = nullptr;  ///< may be null
   Rng* rng = nullptr;
   /// Failover layer (null when fault injection is off — policies then use
-  /// the static "nodes [0, m) are masters, everyone is up" convention).
-  /// `membership` carries roles under churn (promotions included);
-  /// `health` carries the *declared* per-node state — dispatch excludes
-  /// suspected and dead nodes, with detection latency, rather than
-  /// consulting ground truth.
+  /// the static "nodes [0, m) are masters" convention). `membership`
+  /// carries roles under churn (promotions included).
   const fault::Membership* membership = nullptr;
-  const std::vector<fault::NodeHealth>* health = nullptr;
+  /// Per-node block mask, the kBlock* reason bits above; a node with any
+  /// bit set takes no work. Each layer sets its bit where it hears the
+  /// transition, so dispatch excludes *declared* (not ground-truth) dead
+  /// nodes, with detection latency. Null in tests or minimal setups.
+  const std::vector<std::uint8_t>* blocked = nullptr;
   /// Per-node circuit breakers (overload layer; null when disabled). An
-  /// open breaker removes the node from candidate pools through the same
-  /// node_healthy gate the failover layer uses, so policies need no
-  /// breaker-specific code.
+  /// open breaker fails the same node_healthy gate as the block mask, so
+  /// policies need no breaker-specific code. Breakers stay out of the
+  /// mask: admits() is consulted lazily, last, because it turns an open
+  /// breaker past its cooldown half-open.
   overload::BreakerBank* breakers = nullptr;
 
   // --- network fault model (all null/zero when the net model is off —
@@ -84,16 +94,11 @@ struct ClusterView {
 
   // --- gray-failure defense (src/fault/health.*; all null/false when
   //     slow-health and hedging are off) ---
-  /// Latency-watchdog states: kDegraded marks a limping node that still
-  /// answers heartbeats. Null when slow health is off.
-  const std::vector<fault::NodeHealth>* slow_health = nullptr;
   /// Per-node RSRC slowness multipliers from the watchdog (1.0 healthy,
   /// 1 + penalty degraded), composed multiplicatively with the staleness
-  /// scale. Null when slow health is off.
+  /// scale. Null when slow health is off. Under the watchdog's exclude
+  /// option a degraded node is also blocked (kBlockSlow).
   const std::vector<double>* slow_scale = nullptr;
-  /// Hard form: kDegraded nodes leave candidate pools entirely (through
-  /// the same node_healthy gate breakers use).
-  bool slow_exclude = false;
   /// Hedged dispatch: the primary's node, excluded from the hedge copy's
   /// candidate pool so the copy lands elsewhere. -1 outside hedge routing.
   int exclude_node = -1;
@@ -105,10 +110,6 @@ struct ClusterView {
   /// Live estimated RSRC weight from the online ParamEstimator; non-null
   /// overrides both the per-request sampled w and MsOptions::fixed_w.
   const double* ctrl_w = nullptr;
-  /// Autoscaler power state: entry != 0 means the node is powered. A
-  /// powered-down node leaves candidate pools through the same
-  /// node_healthy gate the failover layer uses.
-  const std::vector<char>* powered = nullptr;
   /// Stamps the decision log's w_hat / theta_eff columns.
   bool ctrl_active = false;
 
@@ -145,32 +146,12 @@ struct ClusterView {
                    : network->reachable(src, node);
   }
 
-  /// Whether receiver pools must be built from node_healthy-filtered
-  /// candidates instead of the plain [0, n) range. An untripped breaker
-  /// bank / fully-powered cluster yields the full range either way, so
-  /// the RNG draw is unchanged when the gate first turns on.
-  bool pool_gated() const {
-    return breakers != nullptr || powered != nullptr ||
-           exclude_node >= 0 || (slow_exclude && slow_health != nullptr);
-  }
-
-  /// Declared-healthy check; always true without the failover layer. An
-  /// open circuit breaker also fails it (and an open breaker past its
-  /// cooldown transitions to half-open here, admitting one probe), as
-  /// does a powered-down node (autoscaler), a latency-degraded node under
-  /// slow_exclude, and the hedge primary while routing a hedge copy.
+  /// Whether `node` may take work: not the hedge primary while routing a
+  /// hedge copy, no block-mask bit set, and an admitting breaker (an open
+  /// breaker past its cooldown turns half-open here, admitting one probe).
   bool node_healthy(int node) const {
     if (node == exclude_node) return false;
-    if (powered != nullptr &&
-        !(*powered)[static_cast<std::size_t>(node)])
-      return false;
-    if (health != nullptr &&
-        (*health)[static_cast<std::size_t>(node)] !=
-            fault::NodeHealth::kHealthy)
-      return false;
-    if (slow_exclude && slow_health != nullptr &&
-        (*slow_health)[static_cast<std::size_t>(node)] ==
-            fault::NodeHealth::kDegraded)
+    if (blocked != nullptr && (*blocked)[static_cast<std::size_t>(node)] != 0)
       return false;
     return breakers == nullptr || breakers->admits(node, now);
   }

@@ -15,59 +15,6 @@ const char* to_string(NodeHealth health) {
   return "?";
 }
 
-HealthMonitor::HealthMonitor(sim::Engine& engine,
-                             std::vector<sim::Node*> nodes, Time period,
-                             int suspect_misses, int dead_misses)
-    : engine_(engine),
-      nodes_(std::move(nodes)),
-      period_(period),
-      suspect_misses_(suspect_misses),
-      dead_misses_(dead_misses),
-      state_(nodes_.size(), NodeHealth::kHealthy),
-      misses_(nodes_.size(), 0),
-      healthy_count_(static_cast<int>(nodes_.size())) {
-  if (period_ <= 0)
-    throw std::invalid_argument("health: heartbeat period must be > 0");
-  if (suspect_misses_ < 1 || dead_misses_ < suspect_misses_)
-    throw std::invalid_argument("health: need 1 <= suspect <= dead misses");
-}
-
-void HealthMonitor::start() {
-  engine_.schedule_after(period_, [this] { on_tick(); });
-}
-
-void HealthMonitor::transition(int node, NodeHealth to) {
-  const auto idx = static_cast<std::size_t>(node);
-  const NodeHealth from = state_[idx];
-  if (from == to) return;
-  if (from == NodeHealth::kHealthy) --healthy_count_;
-  if (to == NodeHealth::kHealthy) ++healthy_count_;
-  state_[idx] = to;
-  if (on_transition_) on_transition_(node, from, to);
-}
-
-void HealthMonitor::check_now() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const int node = static_cast<int>(i);
-    if (nodes_[i]->alive()) {
-      misses_[i] = 0;
-      transition(node, NodeHealth::kHealthy);
-      continue;
-    }
-    ++misses_[i];
-    if (misses_[i] >= dead_misses_) {
-      transition(node, NodeHealth::kDead);
-    } else if (misses_[i] >= suspect_misses_) {
-      transition(node, NodeHealth::kSuspected);
-    }
-  }
-}
-
-void HealthMonitor::on_tick() {
-  check_now();
-  engine_.schedule_after(period_, [this] { on_tick(); });
-}
-
 SlowHealthMonitor::SlowHealthMonitor(int nodes,
                                      const SlowHealthConfig& config)
     : config_(config),

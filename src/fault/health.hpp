@@ -1,22 +1,15 @@
-// Failure detection layered on the cluster's periodic monitoring.
+// Node health states and latency-based gray-failure detection.
 //
-// The LoadMonitor's rstat()-style sampling is also the cluster's liveness
-// signal: a healthy node answers every sampling round (a heartbeat), a
-// crashed node goes silent. The HealthMonitor counts consecutive missed
-// heartbeats per node and declares it kSuspected after `suspect_misses`
-// and kDead after `dead_misses` — so detection latency is
-// `dead_misses * period`, not zero. A dead node is *not* an idle node:
-// its busy counters freeze, so to a naive min-RSRC dispatcher it looks
-// perfectly idle, which is exactly why dispatch must route by declared
-// health and not by sampled load alone. Recovery is detected on the first
-// heartbeat that comes back.
+// Crash detection (kSuspected, kDead) is heartbeat-based and lives in
+// net::NetHealth, which also runs without the net model (a perfect wire).
+// The SlowHealthMonitor below is the other detector: it watches
+// completion latency and flags nodes that answer heartbeats but limp.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -24,7 +17,7 @@
 namespace wsched::fault {
 
 /// kDegraded is the gray-failure state: the node answers heartbeats (so
-/// the heartbeat HealthMonitor never produces it) but completes requests
+/// the heartbeat detector never produces it) but completes requests
 /// anomalously slowly. Only the latency watchdog below enters it.
 enum class NodeHealth : std::uint8_t {
   kHealthy,
@@ -34,52 +27,6 @@ enum class NodeHealth : std::uint8_t {
 };
 
 const char* to_string(NodeHealth health);
-
-class HealthMonitor {
- public:
-  /// Invoked on every state change, after the internal state is updated.
-  using TransitionFn =
-      std::function<void(int node, NodeHealth from, NodeHealth to)>;
-
-  /// `period` is the heartbeat interval (typically the load sampling
-  /// period); misses thresholds must satisfy 1 <= suspect <= dead.
-  HealthMonitor(sim::Engine& engine, std::vector<sim::Node*> nodes,
-                Time period, int suspect_misses, int dead_misses);
-
-  /// Schedules the periodic heartbeat check; call once before the run.
-  void start();
-
-  NodeHealth health(int node) const {
-    return state_[static_cast<std::size_t>(node)];
-  }
-  bool healthy(int node) const {
-    return health(node) == NodeHealth::kHealthy;
-  }
-  const std::vector<NodeHealth>& all() const { return state_; }
-  int healthy_count() const { return healthy_count_; }
-  Time period() const { return period_; }
-  /// Worst-case time from a crash to the kDead declaration.
-  Time detection_latency() const { return period_ * (dead_misses_ + 1); }
-
-  void set_on_transition(TransitionFn fn) { on_transition_ = std::move(fn); }
-
-  /// Runs one heartbeat round immediately (also used by the periodic tick).
-  void check_now();
-
- private:
-  void transition(int node, NodeHealth to);
-  void on_tick();
-
-  sim::Engine& engine_;
-  std::vector<sim::Node*> nodes_;
-  Time period_;
-  int suspect_misses_;
-  int dead_misses_;
-  std::vector<NodeHealth> state_;
-  std::vector<int> misses_;
-  int healthy_count_;
-  TransitionFn on_transition_;
-};
 
 /// Latency-based gray-failure detection. Off by default; the disabled
 /// config constructs nothing and perturbs nothing.

@@ -1,5 +1,6 @@
 #include "net/net_health.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 namespace wsched::net {
@@ -9,7 +10,7 @@ constexpr std::uint64_t kHeartbeatLossStream = 0x4E7005;
 }  // namespace
 
 NetHealth::NetHealth(sim::Engine& engine, std::vector<sim::Node*> nodes,
-                     const Network& network, Config config, std::uint64_t seed)
+                     const Network* network, Config config, std::uint64_t seed)
     : engine_(engine),
       nodes_(std::move(nodes)),
       network_(network),
@@ -21,18 +22,16 @@ NetHealth::NetHealth(sim::Engine& engine, std::vector<sim::Node*> nodes,
                                             fault::NodeHealth::kHealthy)),
       misses_(static_cast<std::size_t>(p_) + 1,
               std::vector<int>(static_cast<std::size_t>(p_), 0)),
-      front_view_(static_cast<std::size_t>(p_), fault::NodeHealth::kHealthy),
+      front_healthy_(p_),
       claims_(static_cast<std::size_t>(p_), false),
       observer_alive_(static_cast<std::size_t>(p_), true) {
+  if (config_.period <= 0)
+    throw std::invalid_argument("health: heartbeat period must be > 0");
+  if (config_.suspect_misses < 1 ||
+      config_.dead_misses < config_.suspect_misses)
+    throw std::invalid_argument("health: need 1 <= suspect <= dead misses");
   for (int n = 0; n < config_.masters && n < p_; ++n)
     claims_[static_cast<std::size_t>(n)] = true;
-}
-
-int NetHealth::healthy_count() const {
-  int count = 0;
-  for (const fault::NodeHealth h : front_view_)
-    if (h == fault::NodeHealth::kHealthy) ++count;
-  return count;
 }
 
 int NetHealth::visible_count(int observer) const {
@@ -67,9 +66,9 @@ int NetHealth::claimant_count() const {
 bool NetHealth::heard(int observer, int target) {
   if (!nodes_[static_cast<std::size_t>(target)]->alive()) return false;
   if (observer == target) return true;  // a live node always sees itself
-  const bool reach = observer == p_
-                         ? network_.front_end_reaches(target)
-                         : network_.reachable(observer, target);
+  const bool reach = network_ == nullptr ||
+                     (observer == p_ ? network_->front_end_reaches(target)
+                                     : network_->reachable(observer, target));
   if (!reach) return false;
   if (config_.loss > 0.0 && loss_rng_.bernoulli(config_.loss)) return false;
   return true;
@@ -77,16 +76,17 @@ bool NetHealth::heard(int observer, int target) {
 
 void NetHealth::check_now() {
   using fault::NodeHealth;
-  // Pass 1: every observer updates its row. Front-end transitions are
-  // collected and fired only after step-downs, so Membership reacts to a
-  // round in a fixed order: rows, then claims, then promotions.
+  // Pass 1: every observer updates its row (only the front end without a
+  // Network). Front-end transitions are collected and fired only after
+  // step-downs, so Membership reacts to a round in a fixed order: rows,
+  // then claims, then promotions.
   struct Transition {
     int node;
     NodeHealth from;
     NodeHealth to;
   };
   std::vector<Transition> front_transitions;
-  for (int o = 0; o <= p_; ++o) {
+  for (int o = network_ != nullptr ? 0 : p_; o <= p_; ++o) {
     const bool is_front = o == p_;
     if (!is_front) {
       const bool alive = nodes_[static_cast<std::size_t>(o)]->alive();
@@ -123,7 +123,8 @@ void NetHealth::check_now() {
         const NodeHealth prev = row[ni];
         row[ni] = next;
         if (is_front) {
-          front_view_[ni] = next;
+          if (prev == NodeHealth::kHealthy) --front_healthy_;
+          if (next == NodeHealth::kHealthy) ++front_healthy_;
           front_transitions.push_back({n, prev, next});
         }
       }

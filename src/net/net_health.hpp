@@ -1,16 +1,27 @@
-// Distributed failure detection over the lossy interconnect.
+// Heartbeat failure detection, over the lossy interconnect or a perfect
+// wire.
 //
-// The PR 1 HealthMonitor was a single omniscient observer: a heartbeat is
-// "missed" only when the node is actually down. Over a real interconnect
+// A healthy node answers every heartbeat round; a crashed node goes
+// silent. Each observer counts consecutive missed heartbeats per target
+// and declares it kSuspected after `suspect_misses` and kDead after
+// `dead_misses`, so detection takes up to `dead_misses` periods, not
+// zero. A dead node is *not* an idle node: its busy counters freeze, so to
+// a naive min-RSRC dispatcher it looks perfectly idle, which is exactly
+// why dispatch routes by declared health and not by sampled load alone.
+// Recovery is detected on the first heartbeat that comes back.
+//
+// Without a Network (null) every live node is heard, so the front end's
+// row is an exact, delayed copy of node liveness. Over a real interconnect
 // every node (plus the dispatch front end) observes every other node
-// through its own lossy, partitionable links, so observers disagree:
-// a partition makes both sides suspect each other (false suspicion) and
+// through its own lossy, partitionable links, so observers disagree: a
+// partition makes both sides suspect each other (false suspicion) and
 // random loss can make one unlucky observer declare a healthy node dead.
 //
 // NetHealth keeps the full (p + 1) x p observer matrix — rows 0..p-1 are
-// the nodes, row p is the front end — with per-pair miss counters and the
-// same suspect/dead thresholds as HealthMonitor. On top of it sit the
-// split-brain safety mechanics:
+// the nodes, row p is the front end — with per-pair miss counters. The
+// node rows are evaluated only when a Network exists: only the quorum
+// gate and step-down read them. On top of the matrix sit the split-brain
+// safety mechanics:
 //
 //  * every node tracks whether it *claims* the master role (its own
 //    belief, updated on promotion, step-down, crash, or rejoin);
@@ -40,12 +51,14 @@ namespace wsched::net {
 class NetHealth {
  public:
   struct Config {
+    /// Heartbeat interval (> 0); misses thresholds must satisfy
+    /// 1 <= suspect <= dead.
     Time period = 50 * kMillisecond;
     int suspect_misses = 1;
     int dead_misses = 2;
     /// Per-heartbeat loss probability (mirrors NetworkParams::loss;
     /// heartbeats are modeled statistically rather than as queued
-    /// messages, on a dedicated stream).
+    /// messages, on a dedicated stream). 0 without a Network.
     double loss = 0.0;
     /// Quorum size for step-down (floor(p/2) + 1 when enabled); 0
     /// disables the step-down rule entirely.
@@ -63,13 +76,14 @@ class NetHealth {
   using TransitionFn =
       std::function<void(int node, fault::NodeHealth from, fault::NodeHealth to)>;
 
+  /// `network` null means a perfect wire: every live node is heard.
   NetHealth(sim::Engine& engine, std::vector<sim::Node*> nodes,
-            const Network& network, Config config, std::uint64_t seed);
+            const Network* network, Config config, std::uint64_t seed);
 
   void set_hooks(const Hooks& hooks) { hooks_ = hooks; }
-  /// Fires for front-end-view transitions (same contract as
-  /// HealthMonitor::set_on_transition) — ClusterSim drives Membership off
-  /// this observer, the one that routes requests.
+  /// Fires for front-end-view transitions, after the internal state is
+  /// updated — ClusterSim drives Membership off this observer, the one
+  /// that routes requests.
   void set_on_transition(TransitionFn fn) { on_transition_ = std::move(fn); }
   /// Fires once per round after transitions and step-downs — used to
   /// retry quorum-deferred promotions.
@@ -80,11 +94,10 @@ class NetHealth {
   void check_now();
 
   // --- front-end observer view (row p) ---
-  const std::vector<fault::NodeHealth>& view() const { return front_view_; }
   fault::NodeHealth health(int node) const {
-    return front_view_[static_cast<std::size_t>(node)];
+    return state_[static_cast<std::size_t>(p_)][static_cast<std::size_t>(node)];
   }
-  int healthy_count() const;
+  int healthy_count() const { return front_healthy_; }
 
   // --- quorum inputs ---
   /// Live nodes visible (healthy) in observer `o`'s own row.
@@ -104,9 +117,6 @@ class NetHealth {
 
   std::uint64_t stepdowns() const { return stepdowns_; }
   std::uint64_t split_brain_rounds() const { return split_brain_rounds_; }
-  Time detection_latency() const {
-    return config_.period * config_.dead_misses;
-  }
 
  private:
   bool heard(int observer, int target);
@@ -114,7 +124,7 @@ class NetHealth {
 
   sim::Engine& engine_;
   std::vector<sim::Node*> nodes_;
-  const Network& network_;
+  const Network* network_;
   Config config_;
   Rng loss_rng_;
   Hooks hooks_;
@@ -125,7 +135,8 @@ class NetHealth {
   /// Rows 0..p-1: node observers; row p: the front end.
   std::vector<std::vector<fault::NodeHealth>> state_;
   std::vector<std::vector<int>> misses_;
-  std::vector<fault::NodeHealth> front_view_;
+  /// Healthy entries in the front end's row.
+  int front_healthy_;
   std::vector<bool> claims_;
   /// Observer liveness last round: a dead observer's row freezes; on
   /// revival it resets to all-healthy and re-learns.

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -14,6 +16,7 @@
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "fault/membership.hpp"
+#include "net/net_health.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "trace/profile.hpp"
@@ -216,7 +219,11 @@ TEST(Health, DetectionFollowsMissedHeartbeats) {
   sim::Node a(engine, os, sim::NodeParams{}, 0);
   sim::Node b(engine, os, sim::NodeParams{}, 1);
   const Time period = 100 * kMillisecond;
-  fault::HealthMonitor health(engine, {&a, &b}, period, 1, 2);
+  // No Network: a perfect wire, so only a crash silences a heartbeat.
+  net::NetHealth health(engine, {&a, &b}, nullptr,
+                        {.period = period, .suspect_misses = 1,
+                         .dead_misses = 2},
+                        1);
   health.start();
   int dead_seen = -1;
   health.set_on_transition(
@@ -225,8 +232,8 @@ TEST(Health, DetectionFollowsMissedHeartbeats) {
       });
 
   engine.schedule_at(250 * kMillisecond, [&] { b.crash(); });
-  engine.run_until(260 * kMillisecond);
-  EXPECT_TRUE(health.healthy(1));  // not yet detected
+  engine.run_until(260 * kMillisecond);  // not yet detected
+  EXPECT_EQ(health.health(1), fault::NodeHealth::kHealthy);
   EXPECT_EQ(health.healthy_count(), 2);
 
   engine.run_until(320 * kMillisecond);  // one missed heartbeat
@@ -240,7 +247,7 @@ TEST(Health, DetectionFollowsMissedHeartbeats) {
 
   engine.schedule_at(450 * kMillisecond, [&] { b.recover(); });
   engine.run_until(520 * kMillisecond);  // first heartbeat after recovery
-  EXPECT_TRUE(health.healthy(1));
+  EXPECT_EQ(health.health(1), fault::NodeHealth::kHealthy);
   EXPECT_EQ(health.healthy_count(), 2);
 }
 
@@ -286,6 +293,24 @@ TEST(ClusterFault, QuietFaultLayerIsBitIdenticalForFlat) {
   const core::ExperimentResult b = core::run_experiment(on);
   EXPECT_DOUBLE_EQ(a.run.metrics.stretch, b.run.metrics.stretch);
   EXPECT_EQ(a.run.metrics.completed, b.run.metrics.completed);
+}
+
+TEST(ClusterFault, DetectorThresholdsAreCheckedWithAndWithoutNet) {
+  // One detector serves both wire models, so a bad threshold is refused
+  // whether or not the net model is on.
+  for (const bool net_on : {false, true}) {
+    for (const auto& [suspect, dead] : {std::pair{0, 2}, std::pair{3, 2}}) {
+      core::ExperimentSpec spec = fault_spec(core::SchedulerKind::kMs);
+      spec.duration_s = 0.5;
+      spec.warmup_s = 0.1;
+      spec.fault.enabled = true;
+      spec.fault.suspect_misses = suspect;
+      spec.fault.dead_misses = dead;
+      spec.net.enabled = net_on;
+      EXPECT_THROW(core::run_experiment(spec), std::invalid_argument)
+          << "net " << net_on << " suspect " << suspect << " dead " << dead;
+    }
+  }
 }
 
 TEST(ClusterFault, ScriptedMasterCrashFailsOverAndRecovers) {
