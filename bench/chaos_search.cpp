@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   const int shrink_attempts =
       static_cast<int>(cli.args.get_int("chaos-shrink-attempts", 160));
   // The planted-bug override: quorum off makes split-brain reachable.
-  const bool quorum_off = cli.net_set && !cli.net.quorum;
+  const bool quorum_off = cli.net.enabled && !cli.net.quorum;
 
   check::ChaosGenConfig gen =
       cli.quick ? check::ChaosGenConfig::quick() : check::ChaosGenConfig::full();

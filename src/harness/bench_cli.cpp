@@ -70,10 +70,9 @@ BenchCli::BenchCli(int argc, const char* const* argv)
       args.get_double("load-report-interval", net.load_report_interval_s);
   net.stale_max_age_s = args.get_double("stale-fallback", net.stale_max_age_s);
   net.quorum = args.get_bool("net-quorum", net.quorum);
-  net_set = args.has("net-loss") || args.has("net-latency") ||
-            args.has("net-partition") || args.has("load-report-interval") ||
-            args.has("stale-fallback") || args.has("net-quorum");
-  net.enabled = net_set;
+  net.enabled = args.has("net-loss") || args.has("net-latency") ||
+                args.has("net-partition") || args.has("load-report-interval") ||
+                args.has("stale-fallback") || args.has("net-quorum");
   ctrl.interval_s = args.get_double("ctrl-interval", ctrl.interval_s);
   ctrl.estimate_alpha = args.get_double("ctrl-alpha", ctrl.estimate_alpha);
   ctrl.theta_slew = args.get_double("ctrl-slew", ctrl.theta_slew);
@@ -92,7 +91,6 @@ BenchCli::BenchCli(int argc, const char* const* argv)
       args.has("ctrl-autoscale") || args.has("ctrl-up") ||
       args.has("ctrl-down") || args.has("ctrl-dwell") ||
       args.has("ctrl-min-nodes") || args.has("ctrl-masters");
-  ctrl_set = ctrl.enabled;
   gray.degrade_mttf_s = args.get_double("gray-mttf", gray.degrade_mttf_s);
   gray.degrade_mttr_s = args.get_double("gray-mttr", gray.degrade_mttr_s);
   gray.degrade_cpu_factor =
@@ -107,12 +105,11 @@ BenchCli::BenchCli(int argc, const char* const* argv)
       args.get_double("gray-net-loss", gray.degrade_net_loss);
   gray.degrade_net_latency_factor =
       args.get_double("gray-net-latency", gray.degrade_net_latency_factor);
-  gray_set = args.has("gray-mttf") || args.has("gray-mttr") ||
-             args.has("gray-cpu") || args.has("gray-disk") ||
-             args.has("gray-stall-period") || args.has("gray-stall-len") ||
-             args.has("gray-stall-factor") || args.has("gray-net-loss") ||
-             args.has("gray-net-latency");
-  gray.enabled = gray_set;
+  gray.enabled = args.has("gray-mttf") || args.has("gray-mttr") ||
+                 args.has("gray-cpu") || args.has("gray-disk") ||
+                 args.has("gray-stall-period") || args.has("gray-stall-len") ||
+                 args.has("gray-stall-factor") || args.has("gray-net-loss") ||
+                 args.has("gray-net-latency");
   slow_health.alpha = args.get_double("slow-health-alpha", slow_health.alpha);
   slow_health.degrade_ratio =
       args.get_double("slow-health-degrade", slow_health.degrade_ratio);
@@ -131,7 +128,6 @@ BenchCli::BenchCli(int argc, const char* const* argv)
       args.has("slow-health-min-samples") ||
       args.has("slow-health-penalty") || args.has("slow-health-exclude") ||
       args.has("slow-health-period");
-  slow_health_set = slow_health.enabled;
   hedge.delay_s = args.get_double("hedge-delay", hedge.delay_s);
   hedge.delay_factor = args.get_double("hedge-factor", hedge.delay_factor);
   hedge.min_delay_s = args.get_double("hedge-min-delay", hedge.min_delay_s);
@@ -139,7 +135,6 @@ BenchCli::BenchCli(int argc, const char* const* argv)
   hedge.enabled = args.get_bool("hedge", false) || args.has("hedge-delay") ||
                   args.has("hedge-factor") || args.has("hedge-min-delay") ||
                   args.has("hedge-static");
-  hedge_set = hedge.enabled;
 }
 
 namespace {
@@ -195,8 +190,9 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
   // With several points, file paths are suffixed by grid index so parallel
   // evaluation never interleaves writers.
   EvalFn wrapped = eval;
-  if (cli.obs.any() || cli.overload_set || cli.net_set || cli.ctrl_set ||
-      cli.gray_set || cli.slow_health_set || cli.hedge_set) {
+  if (cli.obs.any() || cli.overload_set || cli.net.enabled ||
+      cli.ctrl.enabled || cli.gray.enabled || cli.slow_health.enabled ||
+      cli.hedge.enabled) {
     std::size_t filtered = 0;
     for (const GridPoint& point : expand(spec))
       if (matches_filters(point.id, cli.options.filters)) ++filtered;
@@ -206,9 +202,9 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
       if (cli.obs.any())
         traced.spec.obs = obs_for_point(cli.obs, point.index, multi);
       if (cli.overload_set) traced.spec.overload = cli.overload;
-      if (cli.net_set) traced.spec.net = cli.net;
-      if (cli.ctrl_set) traced.spec.ctrl = cli.ctrl;
-      if (cli.gray_set) {
+      if (cli.net.enabled) traced.spec.net = cli.net;
+      if (cli.ctrl.enabled) traced.spec.ctrl = cli.ctrl;
+      if (cli.gray.enabled) {
         // Merge (don't clobber): a bench's own scripted crashes survive,
         // only the fail-slow churn fields come from the CLI.
         fault::FaultConfig& fault = traced.spec.fault;
@@ -224,8 +220,8 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
         fault.degrade_net_latency_factor =
             cli.gray.degrade_net_latency_factor;
       }
-      if (cli.slow_health_set) traced.spec.slow_health = cli.slow_health;
-      if (cli.hedge_set) traced.spec.hedge = cli.hedge;
+      if (cli.slow_health.enabled) traced.spec.slow_health = cli.slow_health;
+      if (cli.hedge.enabled) traced.spec.hedge = cli.hedge;
       return eval(traced);
     };
   }

@@ -148,26 +148,21 @@ struct BenchCli {
   bool overload_set = false;
   /// Net-model request from the --net-*/--load-report-interval/
   /// --stale-fallback flags; applied to every evaluated point when
-  /// `net_set` (any of those flags present).
+  /// `net.enabled` (any of those flags present).
   net::NetworkParams net;
-  bool net_set = false;
   /// Control-plane request from the --ctrl-* flags; applied to every
-  /// evaluated point when `ctrl_set` (any of those flags present).
+  /// evaluated point when `ctrl.enabled` (any of those flags present).
   ctrl::CtrlConfig ctrl;
-  bool ctrl_set = false;
-  /// Fail-slow churn request from the --gray-* flags. When `gray_set`,
+  /// Fail-slow churn request from the --gray-* flags. When `gray.enabled`,
   /// run_bench merges the degrade fields into each point's FaultConfig
   /// (and enables the fault layer) without clobbering scripted crashes.
   fault::FaultConfig gray;
-  bool gray_set = false;
   /// Latency-watchdog request from the --slow-health-* flags; applied to
-  /// every evaluated point when `slow_health_set`.
+  /// every evaluated point when `slow_health.enabled`.
   fault::SlowHealthConfig slow_health;
-  bool slow_health_set = false;
   /// Hedged-dispatch request from the --hedge-* flags; applied to every
-  /// evaluated point when `hedge_set`.
+  /// evaluated point when `hedge.enabled`.
   core::HedgeConfig hedge;
-  bool hedge_set = false;
 };
 
 /// Artifact path stem for one sweep under --out (empty when --out unset).
