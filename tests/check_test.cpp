@@ -11,7 +11,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/invariants.hpp"
@@ -207,6 +209,72 @@ TEST(Schedule, NonFiniteWorkloadIsRejected) {
   nan = ChaosSchedule{};
   nan.horizon_s = std::nan("");
   EXPECT_EQ(validate(nan), "horizon_s must be finite");
+}
+
+/// The message schedule_from_json refuses `json` with ("" if it parses).
+std::string parse_error(const std::string& json) {
+  try {
+    schedule_from_json(json);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool starts_with(const std::string& text, const std::string& prefix) {
+  return text.rfind(prefix, 0) == 0;
+}
+
+// Integer fields used to be cast from the JSON double unchecked: "p": 8.5
+// ran as p = 8 and "seed": -1 went through an undefined double-to-uint64
+// cast. Both are refused at parse time, naming the field.
+TEST(Schedule, FractionalOrNegativeIntegerFieldsAreRejected) {
+  const std::string corpus = read_corpus("seed-15.json");
+  ASSERT_FALSE(corpus.empty());
+  const std::pair<std::string, std::string> cases[] = {
+      {"p", "8.5"},         {"seed", "-1"},       {"seed", "1e300"},
+      {"m", "1e10"},        {"overload_retries", "0.5"},
+      {"min_powered", "-2"}};
+  for (const auto& [field, value] : cases) {
+    const std::string error = parse_error(with_number(corpus, field, value));
+    EXPECT_TRUE(starts_with(error, "chaos schedule: " + field +
+                                       " must be a whole number"))
+        << field << " = " << value << ": '" << error << "'";
+  }
+  // A crash node and a partition cut are named with their index.
+  ChaosSchedule crash;
+  crash.fault = true;
+  crash.crashes.push_back({1.0, 1, 2.0});
+  EXPECT_TRUE(starts_with(
+      parse_error(with_number(to_json(crash), "node", "1.7")),
+      "chaos schedule: crashes[0].node must be a whole number"));
+  ChaosSchedule part;
+  part.fault = true;
+  part.net = true;
+  part.partitions.push_back({1.0, 2.0, 2});
+  EXPECT_TRUE(starts_with(
+      parse_error(with_number(to_json(part), "cut", "2.5")),
+      "chaos schedule: partitions[0].cut must be a whole number"));
+  // Whole values still parse.
+  EXPECT_EQ(parse_error(with_number(corpus, "p", "9")), "");
+}
+
+TEST(Schedule, NegativeWarmupAndUnknownProfilesAreRejected) {
+  ChaosSchedule s;
+  s.warmup_s = -1.0;
+  EXPECT_EQ(validate(s), "warmup_s must be >= 0");
+  s = ChaosSchedule{};
+  s.profile = "xyz";
+  EXPECT_EQ(validate(s), "unknown profile 'xyz'");
+  s = ChaosSchedule{};
+  s.flip_profile = "xyz";
+  EXPECT_EQ(validate(s), "unknown flip_profile 'xyz'");
+  // A replayed corpus file with a negative warmup is refused, not run.
+  const ChaosOutcome outcome = run_schedule(schedule_from_json(
+      with_number(read_corpus("seed-15.json"), "warmup_s", "-1")));
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_NE(outcome.error.find("warmup_s must be >= 0"), std::string::npos)
+      << outcome.error;
 }
 
 // --- Invariant registry -------------------------------------------------
