@@ -10,7 +10,7 @@
 // the promoted node); a master that died with no promotable slave keeps
 // its role and resumes it on recovery.
 //
-// Role changes are driven by *declared* state (the HealthMonitor's dead /
+// Role changes are driven by *declared* state (the heartbeat detector's dead /
 // recovered transitions), not by the actual crash instant — detection
 // latency is part of the model.
 #pragma once
