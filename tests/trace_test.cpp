@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -51,6 +52,32 @@ TEST(FileSet, ClosestFileExactAndBetween) {
   // A size below everything returns the smallest.
   const int bottom = files.closest_file(1);
   EXPECT_EQ(files.file(bottom).size_bytes, files.file(0).size_bytes);
+}
+
+TEST(FileSet, ClosestFileMatchesLinearScan) {
+  // The lookup must agree, size for size, with the replay rule written
+  // out as a scan: the first file (the smaller one on a tie) at the least
+  // distance.
+  const SpecWebFileSet files;
+  const auto scan = [&](std::uint32_t size) {
+    int best = 0;
+    std::uint64_t best_delta = UINT64_MAX;
+    for (int i = 0; i < files.count(); ++i) {
+      const std::uint32_t file = files.file(i).size_bytes;
+      const std::uint64_t delta = size > file ? size - file : file - size;
+      if (delta < best_delta) {
+        best_delta = delta;
+        best = i;
+      }
+    }
+    return best;
+  };
+  int mismatches = 0;
+  for (std::uint32_t size = 0; size <= 4'000'000; ++size)
+    mismatches += files.closest_file(size) != scan(size);
+  for (const std::uint32_t size : {UINT32_MAX - 1, UINT32_MAX})
+    mismatches += files.closest_file(size) != scan(size);
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(FileSet, SampleFollowsClassMix) {
