@@ -101,12 +101,10 @@ class ClusterRun {
     result_.hedging_enabled = hedges_on_;
     result_.powered_min = config_.p;
     // With the net model on the monitor is no longer an oracle feed: the
-    // feedbacks refresh only from load reports that actually crossed the
-    // wire (see report_tick).
+    // feedback views refresh only from load reports that actually crossed
+    // the wire (see report_tick).
     if (!net_on_)
-      monitor_.set_on_sample([this] {
-        for (auto& feedback : feedbacks_) feedback.on_sample(monitor_.all());
-      });
+      monitor_.set_on_sample([this] { feedback_.on_sample(monitor_.all()); });
     setup_ctrl();
     setup_net();
     setup_slow_health();
@@ -404,7 +402,7 @@ class ClusterRun {
 
   void setup_view() {
     view_.load = &monitor_.all();
-    if (config_.use_dispatch_feedback) view_.feedbacks = &feedbacks_;
+    if (config_.use_dispatch_feedback) view_.feedback = &feedback_;
     if (!config_.node_params.empty()) view_.node_params = &config_.node_params;
     view_.p = config_.p;
     view_.m = config_.m;
@@ -570,8 +568,9 @@ class ClusterRun {
       flow_->flow(obs::Category::kRequest, 't', "req", cluster_pid_,
                   obs::kLaneDispatch, engine_.now(), job.id);
     if (!cache_hit && decision.rsrc_w >= 0.0 && was_dynamic)
-      feedbacks_[static_cast<std::size_t>(decision.receiver)].on_dispatch(
-          static_cast<std::size_t>(decision.node), decision.rsrc_w);
+      feedback_.on_dispatch(static_cast<std::size_t>(decision.receiver),
+                            static_cast<std::size_t>(decision.node),
+                            decision.rsrc_w);
     if (hedges_on_ && !job.hedge && !cache_hit &&
         (was_dynamic || config_.hedge.hedge_static))
       arm_hedge(job, was_dynamic);
@@ -700,16 +699,8 @@ class ClusterRun {
                                 to_seconds(job.request.service_demand),
                                 job.request.cpu_fraction);
     if (job.request.is_dynamic()) {
-      if (net_on_) {
-        // No oracle broadcast with the net model on: only the master that
-        // served the response learns its demand — the others refresh from
-        // their own completions.
-        feedbacks_[static_cast<std::size_t>(job.receiver)].note_dynamic_demand(
-            job.request.service_demand);
-      } else {
-        for (auto& feedback : feedbacks_)
-          feedback.note_dynamic_demand(job.request.service_demand);
-      }
+      feedback_.note_dynamic_demand(static_cast<std::size_t>(job.receiver),
+                                    job.request.service_demand);
       if (cache_on_)
         caches_[static_cast<std::size_t>(job.receiver)].insert(
             job.request.url_id, completion);
@@ -769,8 +760,9 @@ class ClusterRun {
     job.receiver = decision.receiver;
     job.remote = true;
     if (decision.rsrc_w >= 0.0 && job.request.is_dynamic())
-      feedbacks_[static_cast<std::size_t>(decision.receiver)].on_dispatch(
-          static_cast<std::size_t>(decision.node), decision.rsrc_w);
+      feedback_.on_dispatch(static_cast<std::size_t>(decision.receiver),
+                            static_cast<std::size_t>(decision.node),
+                            decision.rsrc_w);
     // Every failover hop crosses the wire when the net model is on: loss and
     // partition drops surface as RPC retries and, at the cap, another
     // failover. Without it the hop was charged in the backoff, and a target
@@ -1016,12 +1008,6 @@ class ClusterRun {
   /// the net model included). Only meaningful with the fault layer on.
   int declared_healthy() const { return detector_->healthy_count(); }
 
-  /// Sets or clears one reason bit of `node` in the dispatch block mask.
-  void set_blocked(int node, std::uint8_t reason, bool on) {
-    std::uint8_t& bits = blocked_[static_cast<std::size_t>(node)];
-    bits = static_cast<std::uint8_t>(on ? bits | reason : bits & ~reason);
-  }
-
   // --- layer callbacks ---
   void on_crash(int node, std::vector<sim::Job> dropped) {
     for (sim::Job& job : dropped) {
@@ -1037,7 +1023,7 @@ class ClusterRun {
 
   void on_health(int node, fault::NodeHealth from, fault::NodeHealth to) {
     // Dispatch excludes suspected and dead nodes alike.
-    set_blocked(node, kBlockDeclared, to != fault::NodeHealth::kHealthy);
+    blocked_.set(node, kBlockDeclared, to != fault::NodeHealth::kHealthy);
     if (tracer_ != nullptr)
       tracer_->instant(obs::Category::kFault, "health", node, obs::kLaneFault,
                        engine_.now(),
@@ -1079,7 +1065,7 @@ class ClusterRun {
   void on_slow_health(int node, fault::NodeHealth from,
                       fault::NodeHealth to) {
     if (config_.slow_health.exclude)
-      set_blocked(node, kBlockSlow, to == fault::NodeHealth::kDegraded);
+      blocked_.set(node, kBlockSlow, to == fault::NodeHealth::kDegraded);
     if (tracer_ != nullptr)
       tracer_->instant(obs::Category::kFault, "slow-health", node,
                        obs::kLaneFault, engine_.now(),
@@ -1145,8 +1131,8 @@ class ClusterRun {
     if (wire && !node_ptrs_[static_cast<std::size_t>(to)]->alive()) return;
     stale_view_->apply_report(to, from, info, origin);
     if (config_.use_dispatch_feedback)
-      feedbacks_[static_cast<std::size_t>(to)].on_node_report(
-          static_cast<std::size_t>(from), info);
+      feedback_.on_node_report(static_cast<std::size_t>(to),
+                               static_cast<std::size_t>(from), info);
     if (wire) ++result_.net_reports;
   }
 
@@ -1318,7 +1304,7 @@ class ClusterRun {
         static_cast<double>(powered_count_) * to_seconds(now - energy_mark_);
     energy_mark_ = now;
     node_ptrs_[static_cast<std::size_t>(woken)]->power_up();
-    set_blocked(woken, kBlockPoweredDown, false);
+    blocked_.set(woken, kBlockPoweredDown, false);
     ++powered_count_;
     ++result_.ctrl_scale_ups;
     if (tracer_ != nullptr)
@@ -1343,7 +1329,7 @@ class ClusterRun {
     result_.energy_node_s +=
         static_cast<double>(powered_count_) * to_seconds(now - energy_mark_);
     energy_mark_ = now;
-    set_blocked(victim, kBlockPoweredDown, true);
+    blocked_.set(victim, kBlockPoweredDown, true);
     --powered_count_;
     result_.powered_min = std::min(result_.powered_min, powered_count_);
     std::vector<sim::Job> drained =
@@ -1416,13 +1402,15 @@ class ClusterRun {
   std::vector<std::unique_ptr<sim::Node>> nodes_ = make_nodes(engine_, config_);
   std::vector<sim::Node*> node_ptrs_ = raw(nodes_);
   LoadMonitor monitor_{engine_, node_ptrs_, config_.load_sample_period};
-  /// One dispatch-knowledge instance per potential receiver: a master only
-  /// sees the shared periodic sample plus its own recent redirections.
-  std::vector<DispatchFeedback> feedbacks_ = std::vector<DispatchFeedback>(
-      static_cast<std::size_t>(config_.p),
-      DispatchFeedback(static_cast<std::size_t>(config_.p),
-                       config_.load_sample_period,
-                       config_.initial_dynamic_demand_s));
+  /// Dispatch knowledge for every potential receiver: a master only sees
+  /// the shared periodic sample plus its own recent redirections. With the
+  /// net model on there is no oracle broadcast: only the master that
+  /// served a response learns its demand.
+  DispatchFeedback feedback_{
+      static_cast<std::size_t>(config_.p), static_cast<std::size_t>(config_.p),
+      config_.load_sample_period, config_.initial_dynamic_demand_s,
+      net_on_ ? DispatchFeedback::DemandScope::kPerReceiver
+              : DispatchFeedback::DemandScope::kShared};
   ReservationController reservation_{reservation_config(config_)};
   /// One CGI result cache per potential receiver (the Swala extension).
   std::vector<CgiCache> caches_ = std::vector<CgiCache>(
@@ -1432,8 +1420,7 @@ class ClusterRun {
   ClusterView view_;
   /// Dispatch block mask (ClusterView::blocked): reason bits per node,
   /// written where each layer hears its transition.
-  std::vector<std::uint8_t> blocked_ =
-      std::vector<std::uint8_t>(static_cast<std::size_t>(config_.p), 0);
+  BlockMask blocked_{static_cast<std::size_t>(config_.p)};
   MetricsCollector metrics_{config_.warmup, config_.os.fork_overhead};
   /// Failover re-dispatch delays follow the shared backoff curve; the
   /// dedicated stream keeps every other consumer's draws untouched, and a
@@ -1510,8 +1497,7 @@ ClusterSim::ClusterSim(ClusterConfig config,
     throw std::invalid_argument("cluster: node_params size mismatch");
   if (dispatcher_ == nullptr)
     throw std::invalid_argument("cluster: dispatcher required");
-  if (config_.net.enabled &&
-      (!config_.net.partitions.empty() || config_.net.partition_mttf_s > 0.0) &&
+  if (config_.net.enabled && !config_.net.partitions.empty() &&
       !config_.fault.enabled)
     throw std::invalid_argument(
         "cluster: network partitions require the fault layer "

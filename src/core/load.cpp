@@ -5,42 +5,48 @@
 
 namespace wsched::core {
 
-DispatchFeedback::DispatchFeedback(std::size_t nodes, Time sample_window,
-                                   double initial_demand_s, double floor)
+DispatchFeedback::DispatchFeedback(std::size_t receivers, std::size_t nodes,
+                                   Time sample_window,
+                                   double initial_demand_s, DemandScope scope,
+                                   double floor)
     : window_(sample_window),
       floor_(floor),
-      demand_s_(initial_demand_s),
-      base_(nodes),
-      effective_(nodes) {
+      demand_s_(scope == DemandScope::kShared ? 1 : receivers,
+                initial_demand_s),
+      sample_(nodes),
+      views_(receivers, LoadVec(nodes)),
+      view_epoch_(receivers, 0) {
   if (window_ <= 0) throw std::invalid_argument("feedback window must be > 0");
 }
 
 void DispatchFeedback::on_sample(const LoadVec& fresh) {
-  base_ = fresh;
-  effective_ = fresh;
+  sample_ = fresh;
+  ++epoch_;
 }
 
-void DispatchFeedback::on_node_report(std::size_t node, const LoadInfo& fresh) {
-  base_[node] = fresh;
-  effective_[node] = fresh;
+void DispatchFeedback::on_node_report(std::size_t receiver, std::size_t node,
+                                      const LoadInfo& fresh) {
+  fresh_view(receiver)[node] = fresh;
 }
 
-void DispatchFeedback::on_dispatch(std::size_t node, double w) {
+void DispatchFeedback::on_dispatch(std::size_t receiver, std::size_t node,
+                                   double w) {
   // A request with demand d uses roughly w*d of CPU and (1-w)*d of disk
   // over the coming window; expressed as a fraction of the window it is a
   // direct debit against the measured idle ratios.
   const double frac =
-      demand_s_ / to_seconds(window_);
-  LoadRef info = effective_[node];
+      demand_s_[demand_slot(receiver)] / to_seconds(window_);
+  LoadRef info = fresh_view(receiver)[node];
   info.cpu_idle_ratio =
       std::max(floor_, info.cpu_idle_ratio - w * frac);
   info.disk_avail_ratio =
       std::max(floor_, info.disk_avail_ratio - (1.0 - w) * frac);
 }
 
-void DispatchFeedback::note_dynamic_demand(Time demand) {
+void DispatchFeedback::note_dynamic_demand(std::size_t receiver, Time demand) {
   constexpr double kAlpha = 0.05;
-  demand_s_ += kAlpha * (to_seconds(demand) - demand_s_);
+  double& demand_s = demand_s_[demand_slot(receiver)];
+  demand_s += kAlpha * (to_seconds(demand) - demand_s);
 }
 
 LoadMonitor::LoadMonitor(sim::Engine& engine, std::vector<sim::Node*> nodes,

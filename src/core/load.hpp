@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <vector>
@@ -90,45 +91,82 @@ class LoadVec {
   std::vector<double> disk_avail_;
 };
 
-/// Dispatcher-side feedback on top of periodically sampled load.
+/// Dispatcher-side feedback on top of periodically sampled load, for
+/// every receiver at once.
 ///
 /// Sampled ratios alone make a min-cost dispatcher herd: every dynamic
 /// request in one sampling window picks the same "idle" node. A working
 /// implementation must account for work it has already dispatched but that
-/// the next sample has not yet observed. DispatchFeedback keeps, per node,
-/// the CPU/disk work handed out since the last sample (estimated from the
-/// smoothed dynamic demand and the request's sampled `w`) and debits it
-/// from the measured availability; each fresh sample clears the debits
-/// because the measurement now reflects them.
+/// the next sample has not yet observed. Each receiver (a master acting as
+/// the accepting front end) keeps its own view: the latest load picture
+/// debited by the CPU/disk work *it* handed out since (estimated from the
+/// smoothed dynamic demand and the request's sampled `w`). A fresh sample
+/// clears the debits because the measurement now reflects them.
+///
+/// A sample is stored once; a receiver's view copies it on that receiver's
+/// first read or debit after the sample (a sample epoch tells), so a tick
+/// costs one copy rather than one per receiver, and the views read exactly
+/// what eager per-receiver copies would hold.
 class DispatchFeedback {
  public:
-  DispatchFeedback(std::size_t nodes, Time sample_window,
-                   double initial_demand_s, double floor = 0.01);
+  /// Who learns a completed dynamic request's demand. kShared: every
+  /// receiver (the perfect-wire oracle), so one estimate serves all.
+  /// kPerReceiver: only the receiver that served it (the net model).
+  enum class DemandScope { kShared, kPerReceiver };
 
-  /// Refreshes the base snapshot (call whenever the monitor samples).
+  DispatchFeedback(std::size_t receivers, std::size_t nodes,
+                   Time sample_window, double initial_demand_s,
+                   DemandScope scope = DemandScope::kShared,
+                   double floor = 0.01);
+
+  /// A fresh load sample for every receiver (call whenever the monitor
+  /// samples).
   void on_sample(const LoadVec& fresh);
 
-  /// Refreshes one node's snapshot from a delivered load report (the
-  /// net-model path, where nodes report individually over the control
-  /// plane and reports can be lost or delayed independently).
-  void on_node_report(std::size_t node, const LoadInfo& fresh);
+  /// Refreshes one node's entry in `receiver`'s view from a delivered load
+  /// report (the net-model path, where nodes report individually over the
+  /// control plane and reports can be lost or delayed independently).
+  void on_node_report(std::size_t receiver, std::size_t node,
+                      const LoadInfo& fresh);
 
-  /// Debits a dynamic dispatch from node `node`'s availability.
-  void on_dispatch(std::size_t node, double w);
+  /// Debits a dynamic dispatch by `receiver` from node `node`'s
+  /// availability in that receiver's view.
+  void on_dispatch(std::size_t receiver, std::size_t node, double w);
 
-  /// Feeds a completed dynamic request's true demand into the running
-  /// demand estimate (the paper's off-line sampling analogue).
-  void note_dynamic_demand(Time demand);
+  /// Feeds a completed dynamic request's true demand, served through
+  /// `receiver`, into the running demand estimate (the paper's off-line
+  /// sampling analogue).
+  void note_dynamic_demand(std::size_t receiver, Time demand);
 
-  const LoadVec& effective() const { return effective_; }
-  double demand_estimate_s() const { return demand_s_; }
+  /// The load picture `receiver` routes by.
+  const LoadVec& effective(std::size_t receiver) {
+    return fresh_view(receiver);
+  }
+  double demand_estimate_s(std::size_t receiver) const {
+    return demand_s_[demand_slot(receiver)];
+  }
 
  private:
+  LoadVec& fresh_view(std::size_t receiver) {
+    if (view_epoch_[receiver] != epoch_) {
+      views_[receiver] = sample_;
+      view_epoch_[receiver] = epoch_;
+    }
+    return views_[receiver];
+  }
+  std::size_t demand_slot(std::size_t receiver) const {
+    return demand_s_.size() == 1 ? 0 : receiver;
+  }
+
   Time window_;
   double floor_;
-  double demand_s_;  ///< EWMA of dynamic service demand, seconds
-  LoadVec base_;
-  LoadVec effective_;
+  /// EWMA of dynamic service demand, seconds: one entry when shared, one
+  /// per receiver otherwise.
+  std::vector<double> demand_s_;
+  LoadVec sample_;
+  std::uint64_t epoch_ = 0;
+  std::vector<LoadVec> views_;
+  std::vector<std::uint64_t> view_epoch_;
 };
 
 class LoadMonitor {

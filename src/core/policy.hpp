@@ -44,16 +44,41 @@ inline constexpr std::uint8_t kBlockSlow = 1 << 1;
 /// Powered down: the autoscaler drained it.
 inline constexpr std::uint8_t kBlockPoweredDown = 1 << 2;
 
+/// The per-node block mask: kBlock* reason bits per node, plus a count of
+/// the nodes with any bit set, so dispatch can skip the per-node gate
+/// while nothing is blocked.
+class BlockMask {
+ public:
+  explicit BlockMask(std::size_t nodes) : bits_(nodes, 0) {}
+
+  /// Sets or clears one reason bit of `node`.
+  void set(int node, std::uint8_t reason, bool on) {
+    std::uint8_t& bits = bits_[static_cast<std::size_t>(node)];
+    const bool was = bits != 0;
+    bits = static_cast<std::uint8_t>(on ? bits | reason : bits & ~reason);
+    blocked_count_ += static_cast<int>(bits != 0) - static_cast<int>(was);
+  }
+  std::uint8_t bits(int node) const {
+    return bits_[static_cast<std::size_t>(node)];
+  }
+  /// Nodes with any reason bit set.
+  int blocked_count() const { return blocked_count_; }
+
+ private:
+  std::vector<std::uint8_t> bits_;
+  int blocked_count_ = 0;
+};
+
 /// Everything a policy may consult when routing one request.
 struct ClusterView {
   const LoadVec* load = nullptr;
-  /// Per-receiver dispatch knowledge: entry i is the load picture as seen
-  /// by node i acting as the accepting front end — the shared periodic
-  /// sample debited by node i's *own* recent dispatches only (masters do
-  /// not see each other's in-flight redirections, just as in the real
-  /// system where each master runs its own load manager). Null in tests
-  /// or minimal setups; policies then fall back to `load`.
-  const std::vector<DispatchFeedback>* feedbacks = nullptr;
+  /// Per-receiver dispatch knowledge: effective(i) is the load picture as
+  /// seen by node i acting as the accepting front end — the shared
+  /// periodic sample debited by node i's *own* recent dispatches only
+  /// (masters do not see each other's in-flight redirections, just as in
+  /// the real system where each master runs its own load manager). Null
+  /// in tests or minimal setups; policies then fall back to `load`.
+  DispatchFeedback* feedback = nullptr;
   /// Per-node speed factors for the heterogeneous extension; null for a
   /// homogeneous cluster.
   const std::vector<sim::NodeParams>* node_params = nullptr;
@@ -69,7 +94,7 @@ struct ClusterView {
   /// bit set takes no work. Each layer sets its bit where it hears the
   /// transition, so dispatch excludes *declared* (not ground-truth) dead
   /// nodes, with detection latency. Null in tests or minimal setups.
-  const std::vector<std::uint8_t>* blocked = nullptr;
+  const BlockMask* blocked = nullptr;
   /// Per-node circuit breakers (overload layer; null when disabled). An
   /// open breaker fails the same node_healthy gate as the block mask, so
   /// policies need no breaker-specific code. Breakers stay out of the
@@ -130,8 +155,8 @@ struct ClusterView {
   /// delivered reports rather than the monitor, so both paths route on
   /// information that actually crossed the wire.
   const LoadVec& load_seen_by(int node) const {
-    if (feedbacks != nullptr)
-      return (*feedbacks)[static_cast<std::size_t>(node)].effective();
+    if (feedback != nullptr)
+      return feedback->effective(static_cast<std::size_t>(node));
     if (stale != nullptr) return stale->seen_by(node);
     return *load;
   }
@@ -151,9 +176,16 @@ struct ClusterView {
   /// breaker past its cooldown turns half-open here, admitting one probe).
   bool node_healthy(int node) const {
     if (node == exclude_node) return false;
-    if (blocked != nullptr && (*blocked)[static_cast<std::size_t>(node)] != 0)
-      return false;
+    if (blocked != nullptr && blocked->bits(node) != 0) return false;
     return breakers == nullptr || breakers->admits(node, now);
+  }
+
+  /// Whether node_healthy holds for every node of [0, count) without
+  /// asking each: no block-mask bit set, no breakers, and the hedge
+  /// exclusion outside the range.
+  bool all_admit(int count) const {
+    return (blocked == nullptr || blocked->blocked_count() == 0) &&
+           breakers == nullptr && (exclude_node < 0 || exclude_node >= count);
   }
 };
 

@@ -27,32 +27,32 @@ std::size_t pick_min_rsrc(double w, const std::vector<int>& candidates,
   const double* disk = load.disk_avail_data();
   const double* scale = cost_scale == nullptr ? nullptr : cost_scale->data();
 
-  // Evaluate every candidate's cost once into a scratch buffer; the
-  // expressions match rsrc_cost / rsrc_cost_heterogeneous term for term,
-  // so the near-tie comparisons (and thus the RNG draws) are unchanged.
+  // Evaluate every candidate's cost once into a scratch buffer, tracking
+  // the true minimum as it goes; the expressions match rsrc_cost /
+  // rsrc_cost_heterogeneous term for term, so the near-tie comparisons
+  // (and thus the RNG draws) are unchanged.
   static thread_local std::vector<double> costs;
   costs.resize(count);
+  double best_cost = 0.0;
+  const auto keep = [&](std::size_t i, double cost) {
+    costs[i] = scale == nullptr ? cost : scale[i] * cost;
+    if (i == 0 || costs[i] < best_cost) best_cost = costs[i];
+  };
   if (speeds == nullptr) {
     for (std::size_t i = 0; i < count; ++i) {
       const auto node = static_cast<std::size_t>(candidates[i]);
-      const double cost = w / cpu[node] + (1.0 - w) / disk[node];
-      costs[i] = scale == nullptr ? cost : scale[i] * cost;
+      keep(i, w / cpu[node] + (1.0 - w) / disk[node]);
     }
   } else {
     for (std::size_t i = 0; i < count; ++i) {
       const auto node = static_cast<std::size_t>(candidates[i]);
       const sim::NodeParams& params = (*speeds)[node];
-      const double cost = w / (cpu[node] * params.cpu_speed) +
-                          (1.0 - w) / (disk[node] * params.disk_speed);
-      costs[i] = scale == nullptr ? cost : scale[i] * cost;
+      keep(i, w / (cpu[node] * params.cpu_speed) +
+                  (1.0 - w) / (disk[node] * params.disk_speed));
     }
   }
 
-  // Pass 1: the true minimum cost.
-  double best_cost = costs[0];
-  for (std::size_t i = 1; i < count; ++i)
-    if (costs[i] < best_cost) best_cost = costs[i];
-  // Pass 2: reservoir-sample uniformly among near-ties.
+  // Reservoir-sample uniformly among near-ties.
   const double cutoff = best_cost * (1.0 + tolerance);
   std::size_t chosen = 0;
   std::size_t near_ties = 0;

@@ -37,6 +37,7 @@ struct TbCycle {
 struct TbJob {
   std::uint64_t id = 0;
   trace::TraceRecord request;     // original (uncompressed) record
+  int receiver = 0;               // front end that accepted it
   double demand_c = 0.0;          // compressed total demand, seconds
   std::vector<TbCycle> cycles;
   std::size_t cycle = 0;
@@ -85,7 +86,7 @@ struct SharedState {
   std::mutex route_mu;  ///< guards load infos + reservation + dispatcher rng
   core::LoadVec load;
   /// Per-receiver dispatch knowledge, as in core::ClusterSim.
-  std::vector<core::DispatchFeedback> feedbacks;
+  std::unique_ptr<core::DispatchFeedback> feedback;
   std::unique_ptr<core::ReservationController> reservation;
 
   std::mutex metrics_mu;
@@ -294,8 +295,9 @@ class NodeWorker {
             job->request.is_dynamic(),
             ns_since(job->arrival, now));
       if (job->request.is_dynamic())
-        for (auto& feedback : shared_.feedbacks)
-          feedback.note_dynamic_demand(from_seconds(job->demand_c));
+        shared_.feedback->note_dynamic_demand(
+            static_cast<std::size_t>(job->receiver),
+            from_seconds(job->demand_c));
     }
     delete job;
     if (shared_.remaining.fetch_sub(1) == 1) {
@@ -352,13 +354,10 @@ TestbedResult run_testbed(const TestbedConfig& config,
       dyn_demand_sum += to_seconds(rec.service_demand) / comp;
       ++dyn_count;
     }
-  shared.feedbacks.assign(
-      static_cast<std::size_t>(config.p),
-      core::DispatchFeedback(
-          static_cast<std::size_t>(config.p),
-          from_seconds(config.sample_period_s / comp),
-          dyn_count ? dyn_demand_sum / static_cast<double>(dyn_count)
-                    : 0.03));
+  shared.feedback = std::make_unique<core::DispatchFeedback>(
+      static_cast<std::size_t>(config.p), static_cast<std::size_t>(config.p),
+      from_seconds(config.sample_period_s / comp),
+      dyn_count ? dyn_demand_sum / static_cast<double>(dyn_count) : 0.03);
   const double span_c = to_seconds(trace.span()) / comp;
   shared.metrics = std::make_unique<core::MetricsCollector>(
       from_seconds(config.warmup_fraction * span_c),
@@ -405,8 +404,7 @@ TestbedResult run_testbed(const TestbedConfig& config,
         last_disk[i] = disk;
       }
       shared.reservation->update();
-      for (auto& feedback : shared.feedbacks)
-        feedback.on_sample(shared.load);
+      shared.feedback->on_sample(shared.load);
       last = now;
     }
   });
@@ -417,7 +415,7 @@ TestbedResult run_testbed(const TestbedConfig& config,
     Rng rng(config.seed, 0x7e57);
     core::ClusterView view;
     view.load = &shared.load;
-    view.feedbacks = &shared.feedbacks;
+    view.feedback = shared.feedback.get();
     view.p = config.p;
     view.m = config.m;
     view.reservation = shared.reservation.get();
@@ -438,12 +436,13 @@ TestbedResult run_testbed(const TestbedConfig& config,
         std::lock_guard lock(shared.route_mu);
         decision = dispatcher->route(rec, view);
         if (decision.rsrc_w >= 0.0 && rec.is_dynamic())
-          shared.feedbacks[static_cast<std::size_t>(decision.receiver)]
-              .on_dispatch(static_cast<std::size_t>(decision.node),
-                           decision.rsrc_w);
+          shared.feedback->on_dispatch(
+              static_cast<std::size_t>(decision.receiver),
+              static_cast<std::size_t>(decision.node), decision.rsrc_w);
       }
       auto* job = new TbJob;
       job->id = next_id++;
+      job->receiver = decision.receiver;
       job->request = rec;
       job->demand_c = to_seconds(rec.service_demand) / comp;
       job->cycles = plan_cycles(job->demand_c, rec.cpu_fraction, fork_c,

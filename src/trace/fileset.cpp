@@ -1,7 +1,9 @@
 #include "trace/fileset.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 
 namespace wsched::trace {
 
@@ -26,19 +28,19 @@ SpecWebFileSet::SpecWebFileSet() {
 }
 
 int SpecWebFileSet::closest_file(std::uint32_t size_bytes) const {
-  int best = 0;
-  std::uint64_t best_delta = UINT64_MAX;
-  for (int i = 0; i < kFileCount; ++i) {
-    const std::uint64_t delta =
-        size_bytes > files_[i].size_bytes
-            ? size_bytes - files_[i].size_bytes
-            : files_[i].size_bytes - size_bytes;
-    if (delta < best_delta) {
-      best_delta = delta;
-      best = i;
-    }
-  }
-  return best;
+  // Sizes strictly increase, so the closest file is the first one at or
+  // above the size or the one just below it; the lower wins a tie.
+  const auto above = std::lower_bound(
+      files_.begin(), files_.end(), size_bytes,
+      [](const SpecFile& file, std::uint32_t size) {
+        return file.size_bytes < size;
+      });
+  const auto hi = static_cast<int>(above - files_.begin());
+  if (hi == 0) return 0;
+  if (hi == kFileCount) return hi - 1;
+  const std::uint32_t below_delta = size_bytes - std::prev(above)->size_bytes;
+  const std::uint32_t above_delta = above->size_bytes - size_bytes;
+  return above_delta < below_delta ? hi : hi - 1;
 }
 
 int SpecWebFileSet::sample(Rng& rng) const {

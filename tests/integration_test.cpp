@@ -89,16 +89,14 @@ TEST(Admission, ZeroLimitMeansNoAdmission) {
 }
 
 TEST(PerReceiverFeedback, DebitsAreLocalToTheReceiver) {
-  std::vector<core::DispatchFeedback> feedbacks(
-      3, core::DispatchFeedback(4, kSecond, 0.5));
-  std::vector<core::LoadInfo> fresh(4);
-  for (auto& f : feedbacks) f.on_sample(fresh);
+  core::DispatchFeedback feedback(3, 4, kSecond, 0.5);
+  feedback.on_sample(std::vector<core::LoadInfo>(4));
 
-  feedbacks[0].on_dispatch(2, 1.0);
-  EXPECT_LT(feedbacks[0].effective()[2].cpu_idle_ratio, 1.0);
+  feedback.on_dispatch(0, 2, 1.0);
+  EXPECT_LT(feedback.effective(0)[2].cpu_idle_ratio, 1.0);
   // Receivers 1 and 2 are unaware of receiver 0's dispatch.
-  EXPECT_DOUBLE_EQ(feedbacks[1].effective()[2].cpu_idle_ratio, 1.0);
-  EXPECT_DOUBLE_EQ(feedbacks[2].effective()[2].cpu_idle_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(feedback.effective(1)[2].cpu_idle_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(feedback.effective(2)[2].cpu_idle_ratio, 1.0);
 }
 
 TEST(PerReceiverFeedback, ViewFallsBackWithoutFeedbacks) {
@@ -108,12 +106,12 @@ TEST(PerReceiverFeedback, ViewFallsBackWithoutFeedbacks) {
   view.p = 2;
   EXPECT_DOUBLE_EQ(view.load_seen_by(0)[0].cpu_idle_ratio, 0.7);
 
-  std::vector<core::DispatchFeedback> feedbacks(
-      2, core::DispatchFeedback(2, kSecond, 0.1));
-  feedbacks[1].on_sample({core::LoadInfo{0.2, 0.2}, core::LoadInfo{0.3, 0.3}});
-  view.feedbacks = &feedbacks;
-  EXPECT_DOUBLE_EQ(view.load_seen_by(1)[0].cpu_idle_ratio, 0.2);
-  EXPECT_DOUBLE_EQ(view.load_seen_by(0)[0].cpu_idle_ratio, 1.0);
+  core::DispatchFeedback feedback(2, 2, kSecond, 0.1);
+  feedback.on_sample({core::LoadInfo{0.2, 0.2}, core::LoadInfo{0.3, 0.3}});
+  feedback.on_dispatch(1, 0, 1.0);
+  view.feedback = &feedback;
+  EXPECT_DOUBLE_EQ(view.load_seen_by(1)[0].cpu_idle_ratio, 0.1);
+  EXPECT_DOUBLE_EQ(view.load_seen_by(0)[0].cpu_idle_ratio, 0.2);
 }
 
 TEST(ScriptMixtures, AdlIsBimodal) {
