@@ -18,12 +18,6 @@ Axis profile_axis(const std::vector<trace::WorkloadProfile>& profiles) {
       });
 }
 
-Axis p_axis(const std::vector<int>& ps) {
-  return make_axis(
-      "p", ps, [](int p) { return std::to_string(p); },
-      [](core::ExperimentSpec& s, int p) { s.p = p; });
-}
-
 Axis lambda_axis(const std::vector<double>& lambdas) {
   return make_axis(
       "lambda", lambdas, [](double l) { return fixed(l, 0); },

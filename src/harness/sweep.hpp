@@ -66,7 +66,6 @@ Axis make_axis(std::string name, const std::vector<T>& values, LabelFn label,
 
 // Ready-made axes over the common ExperimentSpec fields.
 Axis profile_axis(const std::vector<trace::WorkloadProfile>& profiles);
-Axis p_axis(const std::vector<int>& ps);
 Axis lambda_axis(const std::vector<double>& lambdas);
 /// Values are 1/r (the paper's sweep variable); sets spec.r = 1/value.
 Axis inv_r_axis(const std::vector<double>& inv_rs);

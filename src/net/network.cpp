@@ -14,7 +14,6 @@ namespace {
 // them).
 constexpr std::uint64_t kLatencyStream = 0x4E7001;
 constexpr std::uint64_t kLossStream = 0x4E7002;
-constexpr std::uint64_t kChurnStream = 0x4E7003;
 
 int parse_node_id(const std::string& token, std::size_t begin,
                   std::size_t end) {
@@ -93,7 +92,6 @@ Network::Network(sim::Engine& engine, const NetworkParams& params, int nodes,
       nodes_(nodes),
       latency_rng_(seed, kLatencyStream),
       loss_rng_(seed, kLossStream),
-      churn_rng_(seed, kChurnStream),
       group_(static_cast<std::size_t>(nodes), 0),
       extra_loss_(static_cast<std::size_t>(nodes), 0.0),
       latency_factor_(static_cast<std::size_t>(nodes), 1.0) {
@@ -235,32 +233,6 @@ void Network::heal_partition() {
   if (on_partition_change_) on_partition_change_();
 }
 
-void Network::schedule_random_churn() {
-  const Time gap =
-      from_seconds(churn_rng_.exponential(params_.partition_mttf_s));
-  engine_.schedule_after(gap, [this] {
-    // Split into two random non-empty groups: each node flips a coin,
-    // with a deterministic fixup when a side comes up empty.
-    std::vector<int> group_of(static_cast<std::size_t>(nodes_), 0);
-    int ones = 0;
-    for (int n = 0; n < nodes_; ++n) {
-      if (churn_rng_.bernoulli(0.5)) {
-        group_of[static_cast<std::size_t>(n)] = 1;
-        ++ones;
-      }
-    }
-    if (ones == 0) group_of[static_cast<std::size_t>(nodes_ - 1)] = 1;
-    if (ones == nodes_) group_of[0] = 0;
-    apply_partition(group_of);
-    const Time heal =
-        from_seconds(churn_rng_.exponential(params_.partition_mttr_s));
-    engine_.schedule_after(heal, [this] {
-      heal_partition();
-      schedule_random_churn();
-    });
-  });
-}
-
 void Network::start() {
   for (const PartitionSpec& spec : params_.partitions) {
     std::vector<int> group_of(static_cast<std::size_t>(nodes_), 0);
@@ -273,7 +245,6 @@ void Network::start() {
     });
     engine_.schedule_at(spec.until, [this] { heal_partition(); });
   }
-  if (params_.partition_mttf_s > 0.0 && nodes_ >= 2) schedule_random_churn();
 }
 
 }  // namespace wsched::net

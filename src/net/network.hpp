@@ -7,8 +7,7 @@
 // deterministic per-link factor), may be lost with probability `loss`, may
 // be delayed extra to model reordering, and is dropped outright while a
 // partition separates source and destination. Scripted partition windows
-// (and optional random partition churn) split the cluster into groups;
-// reachability is evaluated at send time.
+// split the cluster into groups; reachability is evaluated at send time.
 //
 // Determinism contract: the transport owns dedicated Rng streams, so
 // enabling it never perturbs the workload or dispatch draws, and a
@@ -76,11 +75,6 @@ struct NetworkParams {
   /// Scripted partition windows (require the fault layer: membership and
   /// health must exist for the cluster to react).
   std::vector<PartitionSpec> partitions;
-  /// Random partition churn: mean time between partitions (0 disables)
-  /// and mean heal time. Each churn event splits the nodes into two
-  /// random non-empty groups.
-  double partition_mttf_s = 0.0;
-  double partition_mttr_s = 1.0;
 
   // --- RPC (at-least-once dispatch delivery; see net/rpc.hpp) ---
   double rpc_timeout_s = 0.05;
@@ -137,8 +131,7 @@ class Network {
     on_partition_change_ = std::move(fn);
   }
 
-  /// Schedules the scripted partition windows and random churn; call once
-  /// before the run.
+  /// Schedules the scripted partition windows; call once before the run.
   void start();
 
   /// Sends one message from `src` to `dst`; `deliver` runs after the
@@ -183,7 +176,6 @@ class Network {
  private:
   void apply_partition(const std::vector<int>& group_of);
   void heal_partition();
-  void schedule_random_churn();
   /// Deterministic per-link latency multiplier in [1 - spread, 1 + spread].
   double link_factor(int src, int dst) const;
   double node_extra_loss(int node) const {
@@ -202,7 +194,6 @@ class Network {
   int nodes_;
   Rng latency_rng_;
   Rng loss_rng_;
-  Rng churn_rng_;
   NetworkHooks hooks_;
   std::function<void()> on_partition_change_;
   bool partition_active_ = false;
