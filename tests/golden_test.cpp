@@ -93,6 +93,14 @@ constexpr LandingPin kHealthGatePins[] = {
     {3398, 12458830620442815250ull, 1901632307302559970ull},
 };
 
+// Traced RPC-path runs (RpcPathsAreBitStable, runs a-d), same shape.
+constexpr LandingPin kRpcPins[] = {
+    {4511, 3126253363457922847ull, 11999419353763943151ull},
+    {4115, 6779712732477646398ull, 10305065850068357753ull},
+    {4036, 4193142308870762853ull, 6479123846668983212ull},
+    {4023, 13003931971990858312ull, 4257505118067189736ull},
+};
+
 core::ExperimentSpec grid_point_spec() {
   core::ExperimentSpec spec;
   spec.profile = trace::ksu_profile();
@@ -535,6 +543,74 @@ TEST(GoldenArtifacts, HealthGatesAreBitStable) {
     EXPECT_EQ(runs[i].pin.events, kHealthGatePins[i].events) << i;
     EXPECT_EQ(runs[i].pin.trace_hash, kHealthGatePins[i].trace_hash) << i;
     EXPECT_EQ(runs[i].pin.row_hash, kHealthGatePins[i].row_hash) << i;
+  }
+}
+
+TEST(GoldenArtifacts, RpcPathsAreBitStable) {
+  // Corners of the at-least-once RPC wire that no pin above reaches in
+  // full: every data copy, ack, timeout and retransmit is an event, so a
+  // change to how they are scheduled moves these traces.
+  // (a) a data latency above the RPC timeout: every dispatch is
+  //     retransmitted before its first copy lands, so duplicates are
+  //     dropped at the receiver;
+  // (b) 20% loss with reordering and jitter, fault layer on: calls that
+  //     exhaust their two attempts fail over;
+  // (c) as (b) with the fault layer off: those calls time out on the wire;
+  // (d) a partition window over the fault layer: messages across it are
+  //     dropped at send time.
+  core::ExperimentSpec slow_wire = grid_point_spec();
+  slow_wire.net.enabled = true;
+  slow_wire.net.latency_base_s = 0.03;
+  slow_wire.net.rpc_timeout_s = 0.02;
+
+  core::ExperimentSpec failover = grid_point_spec();
+  failover.net.enabled = true;
+  failover.net.loss = 0.2;
+  failover.net.reorder = 0.3;
+  failover.net.latency_jitter_s = 0.002;
+  failover.net.control_jitter_s = 0.001;
+  failover.net.rpc_max_attempts = 2;
+  failover.fault.enabled = true;
+
+  core::ExperimentSpec wire_timeout = failover;
+  wire_timeout.fault.enabled = false;
+
+  core::ExperimentSpec split = grid_point_spec();
+  split.net.enabled = true;
+  split.net.partitions = {net::parse_partition_spec("0.6:1.2:0,4-5|1-3,6-7")};
+  split.fault.enabled = true;
+
+  const LandingRun runs[] = {LandingRun(slow_wire), LandingRun(failover),
+                             LandingRun(wire_timeout), LandingRun(split)};
+  if (print_golden()) {
+    for (const LandingRun& run : runs)
+      std::printf("rpc: {%llu, %lluull, %lluull}, retries=%llu "
+                  "duplicates=%llu failures=%llu partition_drops=%llu "
+                  "timeouts=%llu\n",
+                  static_cast<unsigned long long>(run.pin.events),
+                  static_cast<unsigned long long>(run.pin.trace_hash),
+                  static_cast<unsigned long long>(run.pin.row_hash),
+                  static_cast<unsigned long long>(
+                      run.result.run.net_rpc_retries),
+                  static_cast<unsigned long long>(run.result.run.net_duplicates),
+                  static_cast<unsigned long long>(
+                      run.result.run.net_rpc_failures),
+                  static_cast<unsigned long long>(
+                      run.result.run.net_partition_drops),
+                  static_cast<unsigned long long>(run.result.run.timeouts));
+  }
+  EXPECT_GT(runs[0].result.run.net_rpc_retries, 0u);
+  EXPECT_GT(runs[0].result.run.net_duplicates, 0u);
+  EXPECT_GT(runs[1].result.run.net_rpc_failures, 0u);
+  EXPECT_GT(runs[1].result.run.redispatches, 0u);
+  EXPECT_GT(runs[2].result.run.net_rpc_failures, 0u);
+  EXPECT_GT(runs[2].result.run.timeouts, 0u);
+  EXPECT_GT(runs[3].result.run.net_partition_drops, 0u);
+
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    EXPECT_EQ(runs[i].pin.events, kRpcPins[i].events) << i;
+    EXPECT_EQ(runs[i].pin.trace_hash, kRpcPins[i].trace_hash) << i;
+    EXPECT_EQ(runs[i].pin.row_hash, kRpcPins[i].row_hash) << i;
   }
 }
 
