@@ -1,7 +1,6 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -16,6 +15,7 @@
 #include "net/stale_view.hpp"
 #include "obs/log.hpp"
 #include "overload/backoff.hpp"
+#include "sim/slot_pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -59,9 +59,14 @@ ReservationConfig reservation_config(const ClusterConfig& config) {
 struct HedgeState {
   bool armed = false;     ///< hedge timer scheduled for this request
   bool launched = false;  ///< a copy was actually dispatched
+  /// First settlement wins: set exactly once per armed request, so a
+  /// racing loser completion (finished before its cancellation landed) is
+  /// dropped and never double-counted.
+  bool settled = false;
   int primary_node = -1;  ///< node the primary occupies (-1 = in flight)
   int hedge_node = -1;    ///< node the copy occupies (-1 = none)
-  std::uint32_t origin = 0;  ///< slot in hedge_origins_ (until settled)
+  /// The request as it arrived, held in hedge_origins_ until it settles.
+  trace::TraceRecord* origin = nullptr;
 };
 
 /// One replay of a record source through the cluster. The members are the
@@ -256,9 +261,9 @@ class ClusterRun {
   }
 
  private:
-  /// A request step taken after a delay: the dispatch hop, a failover
-  /// backoff, a client retry, a drain migration or a hedge copy's hop.
-  /// Contexts are pooled and free-listed, so once the pool is warm a
+  /// A request step taken later: the dispatch hop, an RPC delivery or
+  /// failure, a failover backoff, a client retry, a drain migration or a
+  /// hedge copy's hop. Contexts are pooled, so once the pool is warm a
   /// deferred step costs no allocation.
   using Step = void (ClusterRun::*)(sim::Job, int);
   struct Deferred {
@@ -273,23 +278,60 @@ class ClusterRun {
     const Step step = deferred->step;
     const int node = deferred->node;
     sim::Job job = std::move(deferred->job);
-    run.deferred_free_.push_back(deferred);
+    run.deferred_.release(deferred);
     (run.*step)(std::move(job), node);
   }
+  /// An RPC's failure handler: the held dispatch is lost, not landed.
+  static void fire_lost(void* ctx) {
+    static_cast<Deferred*>(ctx)->step = &ClusterRun::lost;
+    fire(ctx);
+  }
 
-  void defer(Time delay, Step step, sim::Job job, int node = -1) {
-    Deferred* deferred;
-    if (!deferred_free_.empty()) {
-      deferred = deferred_free_.back();
-      deferred_free_.pop_back();
-    } else {
-      deferred = &deferred_pool_.emplace_back();
-      deferred->run = this;
-    }
+  Deferred* hold(Step step, sim::Job job, int node) {
+    Deferred* deferred = deferred_.acquire();
+    deferred->run = this;
     deferred->step = step;
     deferred->job = std::move(job);
     deferred->node = node;
-    engine_.schedule_call_after(delay, &ClusterRun::fire, deferred);
+    return deferred;
+  }
+  void defer(Time delay, Step step, sim::Job job, int node = -1) {
+    engine_.schedule_call_after(delay, &ClusterRun::fire,
+                                hold(step, std::move(job), node));
+  }
+
+  /// A load report in flight from node `from` to master `to`.
+  struct Report {
+    ClusterRun* run = nullptr;
+    int from = 0;
+    int to = 0;
+    LoadInfo info;
+    Time origin = 0;
+  };
+  static void report_arrived(void* ctx) {
+    auto* held = static_cast<Report*>(ctx);
+    const Report report = *held;
+    report.run->reports_.release(held);
+    report.run->on_report(report.from, report.to, report.info, report.origin,
+                          /*wire=*/true);
+  }
+
+  /// A pending hedge timer (the first fire or a re-check).
+  struct HedgeTimer {
+    ClusterRun* run = nullptr;
+    std::uint64_t id = 0;
+  };
+  static void hedge_timer_fired(void* ctx) {
+    auto* timer = static_cast<HedgeTimer*>(ctx);
+    ClusterRun& run = *timer->run;
+    const std::uint64_t id = timer->id;
+    run.hedge_timers_.release(timer);
+    run.hedge_fire(id);
+  }
+  void hedge_after(Time delay, std::uint64_t id) {
+    HedgeTimer* timer = hedge_timers_.acquire();
+    *timer = HedgeTimer{this, id};
+    engine_.schedule_call_after(delay, &ClusterRun::hedge_timer_fired, timer);
   }
 
   /// fn(void*) trampoline for the periodic ticks and the arrival cursor.
@@ -448,9 +490,12 @@ class ClusterRun {
         [this](bool degraded) { reservation_.set_degraded(degraded); });
     // Abandonment is terminal: the request leaves the system here (the
     // controller already counted and traced it).
-    overload_->set_on_abandon([this](std::uint64_t id) {
-      terminal(id, obs::SpanOutcome::kAbandoned, obs::kLaneOverload, [] {});
-    });
+    overload_->set_on_abandon(
+        [](void* self, std::uint64_t id) {
+          static_cast<ClusterRun*>(self)->terminal(
+              id, obs::SpanOutcome::kAbandoned, obs::kLaneOverload, [] {});
+        },
+        this);
     view_.breakers = overload_->breakers();
   }
 
@@ -469,14 +514,8 @@ class ClusterRun {
                  .cluster_arrival = engine_.now()};
     if (hedges_on_) {
       HedgeState hs;
-      if (hedge_origin_free_.empty()) {
-        hs.origin = static_cast<std::uint32_t>(hedge_origins_.size());
-        hedge_origins_.push_back(rec);
-      } else {
-        hs.origin = hedge_origin_free_.back();
-        hedge_origin_free_.pop_back();
-        hedge_origins_[hs.origin] = rec;
-      }
+      hs.origin = hedge_origins_.acquire();
+      *hs.origin = rec;
       hedge_state_.push_back(hs);
     }
     if (spans_ != nullptr)
@@ -599,10 +638,10 @@ class ClusterRun {
   /// (job.receiver must already be set).
   void send(sim::Job job, int node) {
     if (spans_ != nullptr) spans_->begin_net(job.id, engine_.now());
-    rpc_->call(job.receiver, node,
-               [this, job, node]() mutable { land(std::move(job), node); },
-               [this, job, node]() mutable { lost(std::move(job), node); },
-               /*tag=*/job.id);
+    const int receiver = job.receiver;
+    const std::uint64_t tag = job.id;
+    rpc_->call(receiver, node, &ClusterRun::fire, &ClusterRun::fire_lost,
+               hold(&ClusterRun::land, std::move(job), node), tag);
   }
 
   /// The one landing rule, for every way a job reaches its target: local
@@ -648,7 +687,8 @@ class ClusterRun {
         // First completion wins. A loser that finished before its
         // cancellation landed (or after a terminal settle) fails the claim
         // and is dropped without touching any counter.
-        if (!hedge_settled_.claim(job.id)) return;
+        if (hs.settled) return;
+        hs.settled = true;
         const int loser =
             job.hedge ? hs.primary_node : (hs.launched ? hs.hedge_node : -1);
         if (job.hedge) {
@@ -716,7 +756,7 @@ class ClusterRun {
   void redispatch(sim::Job job) {
     // A settled request (its hedge copy won meanwhile) must not re-enter the
     // system; copies themselves never fail over.
-    if (hedges_on_ && (job.hedge || hedge_settled_.seen(job.id))) return;
+    if (hedges_on_ && (job.hedge || hedge_settled(job.id))) return;
     job.disrupted = true;
     ++job.attempts;
     if (static_cast<int>(job.attempts) > config_.fault.max_redispatch) {
@@ -825,20 +865,19 @@ class ClusterRun {
   /// Hedge fire: re-dispatch a copy of a still-unsettled request to the
   /// next-best node, the primary's node excluded from the pick.
   void hedge_fire(std::uint64_t id) {
-    if (hedge_settled_.seen(id)) return;
     HedgeState& hs = hedge_state_[static_cast<std::size_t>(id)];
-    if (hs.launched) return;
+    if (hs.settled || hs.launched) return;
     if (hs.primary_node < 0) {
       // The primary is mid-hop or mid-backoff: check again shortly (the
       // terminal paths settle the id, so the re-check always ends).
       const Time recheck =
           std::max<Time>(from_seconds(config_.hedge.min_delay_s), kMillisecond);
-      engine_.schedule_after(recheck, [this, id] { hedge_fire(id); });
+      hedge_after(recheck, id);
       return;
     }
     // The original (pre-cache-demotion) record: the copy is routed as the
     // request arrived, not as a cache hit may have rewritten it.
-    const trace::TraceRecord rec = hedge_origins_[hs.origin];
+    const trace::TraceRecord rec = *hs.origin;
     view_.exclude_node = hs.primary_node;
     view_.hedge_route = true;
     const Decision decision = route(rec);
@@ -879,7 +918,7 @@ class ClusterRun {
   /// request settles) before it lands, the copy just evaporates — the
   /// primary still carries the request.
   void land_copy(sim::Job job, int node) {
-    if (hedge_settled_.seen(job.id)) return;
+    if (hedge_settled(job.id)) return;
     sim::Node* target = node_ptrs_[static_cast<std::size_t>(node)];
     if (!target->alive()) {
       hedge_state_[static_cast<std::size_t>(job.id)].hedge_node = -1;
@@ -940,7 +979,10 @@ class ClusterRun {
   /// settled it.
   bool gone(std::uint64_t id) {
     return (overload_on_ && overload_->consume_abandoned(id)) ||
-           (hedges_on_ && hedge_settled_.seen(id));
+           (hedges_on_ && hedge_settled(id));
+  }
+  bool hedge_settled(std::uint64_t id) const {
+    return hedge_state_[static_cast<std::size_t>(id)].settled;
   }
 
   /// Arms the hedge timer on first admission (client retries and drain
@@ -968,8 +1010,7 @@ class ClusterRun {
     }
     if (delay <= 0) return;
     hs.armed = true;
-    const std::uint64_t id = job.id;
-    engine_.schedule_after(delay, [this, id] { hedge_fire(id); });
+    hedge_after(delay, job.id);
   }
 
   /// Records where a job landed, or -1 when it left its node unfinished
@@ -988,7 +1029,8 @@ class ClusterRun {
   void hedge_on_terminal(std::uint64_t id) {
     if (!hedges_on_) return;
     HedgeState& hs = hedge_state_[static_cast<std::size_t>(id)];
-    if (!hs.armed || !hedge_settled_.claim(id)) return;
+    if (!hs.armed || hs.settled) return;
+    hs.settled = true;
     if (hs.launched && hs.hedge_node >= 0 &&
         node_ptrs_[static_cast<std::size_t>(hs.hedge_node)]->cancel(id))
       ++result_.hedge_cancellations;
@@ -999,8 +1041,7 @@ class ClusterRun {
   /// nothing is pending or unsettled.
   void settle(std::uint64_t id) {
     if (hedges_on_)
-      hedge_origin_free_.push_back(
-          hedge_state_[static_cast<std::size_t>(id)].origin);
+      hedge_origins_.release(hedge_state_[static_cast<std::size_t>(id)].origin);
     if (--remaining_ == 0) engine_.stop();
   }
 
@@ -1163,13 +1204,18 @@ class ClusterRun {
         if (r == n)
           on_report(n, r, info, origin, /*wire=*/false);
         else
-          network_->send(n, r, net::MsgKind::kControl,
-                         [this, n, r, info, origin] {
-                           on_report(n, r, info, origin, /*wire=*/true);
-                         });
+          send_report(Report{this, n, r, info, origin});
       }
     }
     if (remaining_ > 0) after<&ClusterRun::report_tick>(report_period_);
+  }
+
+  void send_report(const Report& report) {
+    Report* held = reports_.acquire();
+    *held = report;
+    if (!network_->send(report.from, report.to, net::MsgKind::kControl,
+                        &ClusterRun::report_arrived, held))
+      reports_.release(held);
   }
 
   /// Periodic theta'_2 recomputation, running as long as work remains.
@@ -1426,8 +1472,7 @@ class ClusterRun {
   /// dedicated stream keeps every other consumer's draws untouched, and a
   /// jitter-free (or fault-free) run draws nothing from it.
   Rng fault_backoff_rng_{config_.seed, 0xFA11B0FF};
-  std::deque<Deferred> deferred_pool_;  ///< stable addresses
-  std::vector<Deferred*> deferred_free_;
+  sim::SlotPool<Deferred> deferred_;
 
   // Self-tuning control plane.
   std::optional<ctrl::ParamEstimator> estimator_;
@@ -1441,6 +1486,7 @@ class ClusterRun {
   std::optional<net::Network> network_;
   std::optional<net::Rpc> rpc_;
   std::optional<net::StaleClusterView> stale_view_;
+  sim::SlotPool<Report> reports_;
   Time report_period_ = 0;
 
   // Latency-based gray-failure watchdog.
@@ -1461,13 +1507,9 @@ class ClusterRun {
   std::vector<HedgeState> hedge_state_;
   /// The request as it arrived (before any cache-hit demotion), which is
   /// what a hedge copy re-routes. Held only while the request is
-  /// unsettled: slots are free-listed at settlement.
-  std::vector<trace::TraceRecord> hedge_origins_;
-  std::vector<std::uint32_t> hedge_origin_free_;
-  /// First settlement wins: claim(id) succeeds exactly once per request,
-  /// so a racing loser completion (finished before its cancellation
-  /// landed) is dropped here and never double-counted.
-  net::DedupFilter hedge_settled_;
+  /// unsettled: slots are released at settlement.
+  sim::SlotPool<trace::TraceRecord> hedge_origins_;
+  sim::SlotPool<HedgeTimer> hedge_timers_;
   // Trailing per-class *stretch* p95 (sojourn normalized by the request's
   // demand) driving the adaptive hedge delay. Normalizing is what keeps
   // hedging from duplicating elephants: with heavy-tailed demands the

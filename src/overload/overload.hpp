@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -30,6 +29,7 @@
 #include "overload/breaker.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
+#include "sim/slot_pool.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -82,10 +82,11 @@ class OverloadController {
   void set_on_degraded(std::function<void(bool)> fn) {
     on_degraded_ = std::move(fn);
   }
-  /// A tracked job was abandoned (terminal); the cluster settles its
-  /// completion accounting here.
-  void set_on_abandon(std::function<void(std::uint64_t)> fn) {
-    on_abandon_ = std::move(fn);
+  /// A tracked job was abandoned (terminal): `fn(ctx, id)` runs and the
+  /// cluster settles its completion accounting there.
+  void set_on_abandon(void (*fn)(void*, std::uint64_t), void* ctx) {
+    on_abandon_ = fn;
+    abandon_ctx_ = ctx;
   }
 
   /// Schedules the periodic signal tick; call once before the run.
@@ -152,6 +153,43 @@ class OverloadController {
     bool dynamic = false;
   };
 
+  /// The jobs under a deadline, keyed by job id (never 0): open addressing
+  /// with linear probing and backward-shift erase, at most half full. It
+  /// grows with the jobs in flight, not with the request count, and
+  /// allocates only when it doubles.
+  class LiveJobs {
+   public:
+    /// Null when `id` is not tracked.
+    TrackedJob* find(std::uint64_t id);
+    /// Starts tracking `id`; a no-op when it is tracked already.
+    void insert(std::uint64_t id, TrackedJob job);
+    void erase(std::uint64_t id);
+
+   private:
+    struct Entry {
+      std::uint64_t id = 0;  ///< 0 = empty
+      TrackedJob job;
+    };
+    std::size_t home(std::uint64_t id) const {
+      return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    std::size_t slot_of(std::uint64_t id) const;  ///< its entry, or an empty one
+    void grow();
+
+    std::vector<Entry> entries_;
+    std::size_t mask_ = 0;
+    int shift_ = 64;
+    std::size_t count_ = 0;
+  };
+
+  /// Context of one pending deadline event.
+  struct DeadlineTimer {
+    OverloadController* self = nullptr;
+    std::uint64_t id = 0;
+  };
+  static void deadline_fired(void* ctx);
+  static void tick_fired(void* ctx);
+
   void on_deadline(std::uint64_t id);
   void on_tick();
   /// Traces a breaker trip that happened since the last call.
@@ -168,9 +206,11 @@ class OverloadController {
   Rng retry_rng_;
   OverloadHooks hooks_;
   std::function<void(bool)> on_degraded_;
-  std::function<void(std::uint64_t)> on_abandon_;
+  void (*on_abandon_)(void*, std::uint64_t) = nullptr;
+  void* abandon_ctx_ = nullptr;
 
-  std::unordered_map<std::uint64_t, TrackedJob> live_;
+  LiveJobs live_;
+  sim::SlotPool<DeadlineTimer> deadline_timers_;
   Time last_tick_ = 0;
   Time last_cpu_busy_ = 0;
   std::uint64_t last_trips_ = 0;

@@ -37,20 +37,13 @@ Engine::Engine() : buckets_(kBuckets) {}
 
 void Engine::schedule_at(Time t, Action fn) {
   if (t < now_) t = now_;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slab_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-  }
+  Action* slot = slab_.acquire();
+  *slot = std::move(fn);
   Event e;
   e.t = t;
   e.seq = seq_++;
   e.kind = EventKind::kClosure;
-  e.u.closure.slot = slot;
+  e.u.closure.fn = slot;
   insert(e);
 }
 
@@ -252,9 +245,9 @@ void Engine::dispatch(const Event& e) {
       e.u.node.node->on_tick();
       break;
     case EventKind::kClosure: {
-      const std::uint32_t slot = e.u.closure.slot;
-      Action fn = std::move(slab_[slot]);
-      free_slots_.push_back(slot);  // slot reusable while fn runs
+      Action* slot = e.u.closure.fn;
+      Action fn = std::move(*slot);
+      slab_.release(slot);  // slot reusable while fn runs
       fn();
       break;
     }

@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/slot_pool.hpp"
 #include "util/time.hpp"
 
 namespace wsched::sim {
@@ -115,7 +116,7 @@ class Engine {
 
  private:
   enum class EventKind : std::uint8_t {
-    kClosure = 0,     ///< slab slot holding a std::function<void()>
+    kClosure = 0,     ///< pooled std::function<void()>
     kCall,            ///< raw fn(ctx) trampoline
     kCpuSliceEnd,     ///< Node::on_cpu_slice_end(token)
     kDiskSliceEnd,    ///< Node::on_disk_slice_end(token)
@@ -138,11 +139,12 @@ class Engine {
         std::uint64_t token;
       } node;
       struct {
-        std::uint32_t slot;
+        Action* fn;
       } closure;
     } u;
     EventKind kind;
   };
+  static_assert(sizeof(Event) == 40, "calendar entries stay 40 bytes");
 
   static constexpr int kBucketBits = 11;
   static constexpr std::uint64_t kBuckets = 1ull << kBucketBits;  // 2048
@@ -182,10 +184,9 @@ class Engine {
   std::size_t size_ = 0;           ///< total pending events
   std::size_t ring_count_ = 0;     ///< pending events in the ring alone
 
-  // Closure slab: slot storage for type-erased actions, recycled through a
-  // free list so steady-state closures never allocate.
-  std::vector<Action> slab_;
-  std::vector<std::uint32_t> free_slots_;
+  // Closure slab: pooled storage for type-erased actions, so steady-state
+  // closures allocate nothing beyond what their own captures need.
+  SlotPool<Action> slab_;
 
   Time now_ = 0;
   std::uint64_t seq_ = 0;

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -31,6 +32,7 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "trace/profile.hpp"
 
 // Every global allocation in this binary is counted, so the spans-off
 // test can show that a null guard adds none to an engine kernel.
@@ -1202,6 +1204,48 @@ TEST(ObsSpans, SpansOffAddsNoEventsOrAllocations) {
   EXPECT_GT(bare.allocations, 0u) << "the allocation counter saw nothing";
   EXPECT_EQ(guarded.allocations, bare.allocations)
       << "the null guard changed the kernel's heap allocations";
+}
+
+TEST(ObsAllocations, NetOverloadHedgeRequestsAllocateNothingInSteadyState) {
+  // The per-request paths of the net model (RPC data, acks, timeouts,
+  // retransmits, load reports), the overload deadline and the hedge timers
+  // run on pooled contexts. Doubling the horizon doubles the requests but
+  // must add almost no heap allocations: the difference between the two
+  // runs is the steady-state cost per request, with set-up and pool
+  // warm-up cancelled out.
+  const auto run = [](double seconds) {
+    core::ExperimentSpec spec;
+    spec.profile = trace::ksu_profile();
+    spec.p = 8;
+    spec.lambda = 300;
+    spec.duration_s = seconds;
+    spec.warmup_s = 0.5;
+    spec.seed = 1234;
+    spec.kind = core::SchedulerKind::kMs;
+    spec.net.enabled = true;
+    spec.net.loss = 0.02;
+    spec.net.latency_jitter_s = 0.001;
+    spec.overload.deadline.static_s = 2.0;
+    spec.overload.deadline.dynamic_s = 4.0;
+    spec.hedge.enabled = true;
+    const std::uint64_t before = g_allocations.load();
+    const core::ExperimentResult result = core::run_experiment(spec);
+    const std::uint64_t allocations = g_allocations.load() - before;
+    EXPECT_GT(result.run.net_rpc_retries, 0u);
+    EXPECT_GT(result.run.net_reports, 0u);
+    EXPECT_GT(result.run.hedges_launched, 0u);
+    return std::pair{result.run.submitted, allocations};
+  };
+  const auto [short_requests, short_allocations] = run(20.0);
+  const auto [long_requests, long_allocations] = run(40.0);
+  ASSERT_GT(long_requests, short_requests);
+  const double per_request =
+      (static_cast<double>(long_allocations) -
+       static_cast<double>(short_allocations)) /
+      static_cast<double>(long_requests - short_requests);
+  EXPECT_LT(per_request, 0.5)
+      << short_allocations << " allocations for " << short_requests
+      << " requests, " << long_allocations << " for " << long_requests;
 }
 
 // --- structured log ---
