@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "check/json.hpp"
 #include "harness/artifacts.hpp"
@@ -199,11 +201,51 @@ ChaosSchedule generate_schedule(std::uint64_t seed,
 
 std::string validate(const ChaosSchedule& s) {
   if (s.p < 2 || s.m < 1 || s.m >= s.p) return "need 2 <= m+1 <= p";
-  // A JSON 1e999 parses as infinity; an infinite (or NaN) horizon or rate
-  // would leave the trace generator looping forever.
-  if (!std::isfinite(s.horizon_s)) return "horizon_s must be finite";
-  if (!std::isfinite(s.warmup_s)) return "warmup_s must be finite";
-  if (!std::isfinite(s.lambda)) return "lambda must be finite";
+  // A JSON 1e999 parses as infinity. An infinite (or NaN) horizon or rate
+  // would leave the trace generator looping forever, and an infinite event
+  // time would overflow from_seconds(), so no double field may be either.
+  const std::pair<const char*, double> scalars[] = {
+      {"horizon_s", s.horizon_s},
+      {"warmup_s", s.warmup_s},
+      {"lambda", s.lambda},
+      {"diurnal_period_s", s.diurnal_period_s},
+      {"diurnal_amplitude", s.diurnal_amplitude},
+      {"flip_at_s", s.flip_at_s},
+      {"crash_mttf_s", s.crash_mttf_s},
+      {"crash_mttr_s", s.crash_mttr_s},
+      {"degrade_mttf_s", s.degrade_mttf_s},
+      {"degrade_mttr_s", s.degrade_mttr_s},
+      {"degrade_cpu_factor", s.degrade_cpu_factor},
+      {"degrade_disk_factor", s.degrade_disk_factor},
+      {"stall_period_s", s.stall_period_s},
+      {"stall_len_s", s.stall_len_s},
+      {"net_loss", s.net_loss},
+      {"net_latency_jitter_s", s.net_latency_jitter_s},
+      {"net_reorder", s.net_reorder},
+      {"stale_max_age_s", s.stale_max_age_s},
+      {"load_report_interval_s", s.load_report_interval_s},
+      {"deadline_static_s", s.deadline_static_s},
+      {"deadline_dynamic_s", s.deadline_dynamic_s},
+      {"ctrl_interval_s", s.ctrl_interval_s},
+      {"theta_slew", s.theta_slew},
+      {"hedge_delay_s", s.hedge_delay_s}};
+  for (const auto& [name, value] : scalars)
+    if (!std::isfinite(value)) return std::string(name) + " must be finite";
+  for (std::size_t i = 0; i < s.crashes.size(); ++i) {
+    const CrashEpisode& c = s.crashes[i];
+    for (const auto& [name, value] :
+         {std::pair{"at_s", c.at_s}, std::pair{"recover_s", c.recover_s}})
+      if (!std::isfinite(value))
+        return "crashes[" + std::to_string(i) + "]." + name + " must be finite";
+  }
+  for (std::size_t i = 0; i < s.partitions.size(); ++i) {
+    const PartitionWindow& w = s.partitions[i];
+    for (const auto& [name, value] :
+         {std::pair{"from_s", w.from_s}, std::pair{"until_s", w.until_s}})
+      if (!std::isfinite(value))
+        return "partitions[" + std::to_string(i) + "]." + name +
+               " must be finite";
+  }
   if (s.warmup_s < 0.0) return "warmup_s must be >= 0";
   if (s.horizon_s <= s.warmup_s) return "horizon must exceed warmup";
   if (s.lambda <= 0.0) return "lambda must be > 0";

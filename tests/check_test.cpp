@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -209,6 +210,42 @@ TEST(Schedule, NonFiniteWorkloadIsRejected) {
   nan = ChaosSchedule{};
   nan.horizon_s = std::nan("");
   EXPECT_EQ(validate(nan), "horizon_s must be finite");
+}
+
+// Event times and rates below the workload were checked only for order:
+// a crash at +inf, a partition until +inf and a NaN jitter all passed, and
+// to_spec() then converted the infinity to a Time. Every double field is
+// now refused when it is not finite, naming the field.
+TEST(Schedule, NonFiniteEventTimesAreRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  ChaosSchedule base;
+  base.fault = true;
+  base.net = true;
+  ASSERT_EQ(validate(base), "");
+
+  ChaosSchedule crash = base;
+  crash.crashes.push_back({1.0, 1, 2.0});
+  crash.crashes.push_back({inf, 1, 0.0});
+  EXPECT_EQ(validate(crash), "crashes[1].at_s must be finite");
+  crash.crashes[1] = {1.0, 1, inf};
+  EXPECT_EQ(validate(crash), "crashes[1].recover_s must be finite");
+
+  ChaosSchedule window = base;
+  window.partitions.push_back({1.0, inf, 2});
+  EXPECT_EQ(validate(window), "partitions[0].until_s must be finite");
+  window.partitions[0] = {std::nan(""), 2.0, 2};
+  EXPECT_EQ(validate(window), "partitions[0].from_s must be finite");
+
+  ChaosSchedule jitter = base;
+  jitter.net_latency_jitter_s = std::nan("");
+  EXPECT_EQ(validate(jitter), "net_latency_jitter_s must be finite");
+  ChaosSchedule hedge = base;
+  hedge.hedge_delay_s = inf;
+  EXPECT_EQ(validate(hedge), "hedge_delay_s must be finite");
+  ChaosSchedule deadline = base;
+  deadline.deadline_dynamic_s = -inf;
+  EXPECT_EQ(validate(deadline), "deadline_dynamic_s must be finite");
+  EXPECT_THROW(to_spec(jitter), std::invalid_argument);
 }
 
 /// The message schedule_from_json refuses `json` with ("" if it parses).
