@@ -37,13 +37,7 @@ Time Node::disk_wall(Time work) const {
 }
 
 Process* Node::acquire_process() {
-  Process* proc;
-  if (!free_procs_.empty()) {
-    proc = free_procs_.back();
-    free_procs_.pop_back();
-  } else {
-    proc = &arena_.emplace_back();
-  }
+  Process* proc = procs_.acquire();
   proc->cycle = 0;
   proc->cpu_left = 0;
   proc->io_left = 0;

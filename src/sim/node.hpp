@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "sim/memory.hpp"
 #include "sim/params.hpp"
 #include "sim/process.hpp"
+#include "sim/slot_pool.hpp"
 
 namespace wsched::sim {
 
@@ -164,7 +164,7 @@ class Node {
   /// cycle vector keeps its capacity so steady-state submit() is
   /// allocation-free.
   Process* acquire_process();
-  void release_process(Process* proc) { free_procs_.push_back(proc); }
+  void release_process(Process* proc) { procs_.release(proc); }
 
   /// Converts CPU work (reference seconds) to wall time on this node.
   Time cpu_wall(Time work) const;
@@ -181,11 +181,10 @@ class Node {
 
   std::vector<Process*> live_;
 
-  // Process arena: deque for stable addresses, free list for O(1) reuse.
-  // Processes are never destroyed while the node lives; completed ones go
-  // back on the free list with their burst-plan capacity intact.
-  std::deque<Process> arena_;
-  std::vector<Process*> free_procs_;
+  // Process arena. Processes are never destroyed while the node lives;
+  // completed ones go back to the pool with their burst-plan capacity
+  // intact.
+  SlotPool<Process> procs_;
 
   // CPU dispatch state. `cpu_epoch_` lazily cancels stale slice-end events.
   Process* running_ = nullptr;
