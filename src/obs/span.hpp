@@ -131,6 +131,11 @@ class SpanRecorder {
   /// Sizes the ledger for job ids below `requests`, so it never regrows.
   void reserve(std::size_t requests) { reqs_.reserve(requests); }
 
+  /// True when span trees are kept (K > 0). A ledger-only recorder
+  /// charges nothing for a zero-length phase, so a node may skip the
+  /// wait/run marks between back-to-back slices of one process.
+  bool keeps_trees() const { return retain_ > 0; }
+
   // --- lifecycle hooks (called from cluster / node / rpc sites) ---
 
   /// Request arrival at the front end: opens the root span and starts

@@ -105,7 +105,8 @@ class Node {
 
   /// Degraded-mode fault: scales effective CPU/disk speed by the given
   /// factors (1.0 = nominal, 0.25 = four times slower). Takes effect from
-  /// the next scheduled slice; the in-flight slice completes as planned.
+  /// the next scheduled slice; the in-flight slice completes as planned
+  /// (a run of several slices is cut to end with it).
   void set_degradation(double cpu_factor, double disk_factor);
   double cpu_degradation() const { return cpu_degr_; }
   double disk_degradation() const { return disk_degr_; }
@@ -128,19 +129,46 @@ class Node {
     return disk_sched_.size() + (disk_active_ != nullptr ? 1 : 0);
   }
   std::uint64_t completed() const { return completed_; }
-  const NodeCounts& counts() const { return counts_; }
+  /// Counts up to the engine's current time: slices of an in-flight run
+  /// that ended at or before now() are included, as their own slice-end
+  /// events would have been.
+  NodeCounts counts() const;
   const MemoryManager& memory() const { return memory_; }
   const NodeParams& params() const { return params_; }
 
-  // Totals for conservation checks in tests.
-  Time total_cpu_service() const { return total_cpu_service_; }
-  Time total_disk_service() const { return total_disk_service_; }
+  // Totals for conservation checks in tests, up to now() like counts().
+  Time total_cpu_service() const;
+  Time total_disk_service() const;
   Time total_context_switch() const { return total_context_switch_; }
 
  private:
   // The engine dispatches the typed slice-end/tick events straight into
   // the private handlers below.
   friend class Engine;
+
+  /// Back-to-back slices of one process on the CPU or the disk, ended by
+  /// one scheduled event. A process alone on its resource would be picked
+  /// again at each slice end, so those ends are no scheduling events and
+  /// the run covers its whole CPU or I/O phase; a traced node, or one
+  /// whose span recorder keeps trees, runs one slice at a time.
+  struct SliceRun {
+    Time start = 0;   ///< wall time the slice in progress begins
+    Time work = 0;    ///< work in the slice in progress (ref seconds)
+    Time wall = 0;    ///< wall time of each full slice before the last
+    Time end = 0;     ///< wall time of the run's end event
+    std::uint64_t slices = 0;  ///< slices left, the one in progress included
+
+    /// Plans `left` work from `at` in slices of at most `unit`: the first
+    /// slice alone, or every slice when `whole`. Each slice's wall time
+    /// rounds on its own, so k slices are not one wall(k * unit).
+    void begin(Time at, Time left, Time unit, double rate, bool whole);
+    /// Slices before the last that end before `t` (at `t` too when
+    /// `at_t`); every one is a full `unit` of work.
+    std::uint64_t ended(Time t, bool at_t) const;
+    /// Drops the slices after the one in progress; false when it is the
+    /// last already.
+    bool cut();
+  };
 
   void route(Process* proc);
   void enter_ready(Process* proc);
@@ -150,6 +178,21 @@ class Node {
   void enter_disk(Process* proc);
   void try_disk();
   void on_disk_slice_end(std::uint64_t token);
+  /// Credits the slices of the in-flight run that ended strictly before
+  /// `now`, with the arithmetic of their own slice ends, and moves the run
+  /// to the slice in progress. Called before anything reads the running
+  /// process or the counters.
+  void settle_cpu(Time now);
+  void settle_disk(Time now);
+  /// Cuts the in-flight run to end with its slice in progress, because
+  /// another process now waits for the resource (or speeds change).
+  void cut_cpu();
+  void cut_disk();
+  /// Whether a lone process may run its whole phase as one run.
+  bool coalesce() const {
+    return obs_.trace == nullptr &&
+           (obs_.spans == nullptr || !obs_.spans->keeps_trees());
+  }
   void finish_cycle(Process* proc);
   void complete(Process* proc);
   void ensure_tick();
@@ -169,6 +212,8 @@ class Node {
   /// Converts CPU work (reference seconds) to wall time on this node.
   Time cpu_wall(Time work) const;
   Time disk_wall(Time work) const;
+  double cpu_rate() const { return params_.cpu_speed * cpu_degr_; }
+  double disk_rate() const { return params_.disk_speed * disk_degr_; }
 
   Engine& engine_;
   const OsParams& os_;
@@ -186,19 +231,18 @@ class Node {
   // intact.
   SlotPool<Process> procs_;
 
-  // CPU dispatch state. `cpu_epoch_` lazily cancels stale slice-end events.
+  // CPU dispatch state. `cpu_epoch_` lazily cancels stale run-end events.
+  // The run's slices start after any context switch.
   Process* running_ = nullptr;
   Process* last_on_cpu_ = nullptr;
   std::uint64_t cpu_epoch_ = 0;
-  Time slice_start_ = 0;    ///< wall time the slice begins (after any switch)
-  Time slice_work_ = 0;     ///< planned CPU work in the slice (ref seconds)
+  SliceRun cpu_run_;
 
-  // Disk state. Disk slices are never preempted; the epoch only advances
-  // on a crash, cancelling the in-flight slice-end event.
+  // Disk state. Disk slices are never preempted; the epoch advances when a
+  // run is cut, aborted or crashed, cancelling its pending end event.
   Process* disk_active_ = nullptr;
   std::uint64_t disk_epoch_ = 0;
-  Time disk_slice_start_ = 0;
-  Time disk_slice_work_ = 0;
+  SliceRun disk_run_;
 
   bool alive_ = true;
   bool powered_ = true;     ///< autoscaler power state (orthogonal to alive_)

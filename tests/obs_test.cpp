@@ -736,7 +736,9 @@ TEST(ObsGuard, DisarmedGuardRunsToCompletion) {
 
 TEST(ObsGuard, PropagatesThroughExperiment) {
   core::ExperimentSpec spec = obs_spec();
-  spec.max_events = 5000;  // far below what the run needs
+  const std::uint64_t needed = core::run_experiment(spec).run.events;
+  ASSERT_GT(needed, 4u);
+  spec.max_events = needed / 4;  // far below what the run needs
   EXPECT_THROW(core::run_experiment(spec), sim::EngineGuardError);
 }
 

@@ -3,8 +3,11 @@
 // the Node state machine (single-job latency, timesharing, conservation).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/cpu_sched.hpp"
 #include "sim/disk_sched.hpp"
 #include "sim/engine.hpp"
@@ -609,6 +612,149 @@ TEST(Node, ManyJobsAllComplete) {
   EXPECT_EQ(h.done.size(), static_cast<std::size_t>(kJobs));
   EXPECT_EQ(h.node->completed(), static_cast<std::uint64_t>(kJobs));
   EXPECT_EQ(h.node->live_processes(), 0u);
+}
+
+/// One node driven by a fixed script. A trace sink makes the node run one
+/// slice per event; without one, a process alone on its CPU or disk runs
+/// its whole phase on one event.
+struct ScriptedNode {
+  Engine engine;
+  OsParams os;
+  obs::ChromeTraceSink sink;
+  std::unique_ptr<Node> node;
+  std::vector<Completion> done;
+  std::vector<std::size_t> dropped;  ///< jobs returned by each crash
+  std::vector<bool> aborted;         ///< abort() results, in order
+
+  ScriptedNode(const OsParams& params, bool traced) : os(params) {
+    node = std::make_unique<Node>(engine, os, NodeParams{1.3, 0.7}, 0);
+    node->set_completion_callback(
+        [this](const Job& job, Time at) { done.push_back({job.id, at}); });
+    if (traced) node->set_obs({&sink, nullptr});
+    script();
+  }
+
+  void at(double ms, std::function<void()> fn) {
+    engine.schedule_at(static_cast<Time>(ms * 1e6), std::move(fn));
+  }
+  void submit(double ms, std::uint64_t id, Time demand, double w,
+              bool dynamic) {
+    at(ms, [=, this] { node->submit(make_job(id, demand, w, dynamic)); });
+  }
+  void abort(double ms, std::uint64_t id) {
+    at(ms, [=, this] { aborted.push_back(node->abort(id)); });
+  }
+
+  void script() {
+    // Lone long CPU and I/O phases, slowed and restored mid-slice.
+    submit(0, 1, 150 * kMillisecond, 1.0, false);
+    submit(0, 2, 60 * kMillisecond, 0.0, false);
+    at(23.4, [this] { node->set_degradation(0.25, 0.5); });
+    at(61.7, [this] { node->set_degradation(1.0, 1.0); });
+    // Second arrivals mid-run: they preempt or cut the runs.
+    submit(80.25, 3, 40 * kMillisecond, 0.5, true);
+    submit(95.1, 4, 30 * kMillisecond, 0.1, false);
+    abort(140.5, 1);
+    // Aborts mid-quantum and mid-page of a lone run.
+    submit(170.3, 5, 100 * kMillisecond, 1.0, false);
+    abort(231.7, 5);
+    submit(240.0, 6, 80 * kMillisecond, 0.0, false);
+    abort(261.1, 6);
+    // Crashes mid-quantum and mid-page, then cold restarts.
+    submit(300.0, 7, 200 * kMillisecond, 1.0, false);
+    submit(300.0, 8, 100 * kMillisecond, 0.0, false);
+    at(347.77, [this] { dropped.push_back(node->crash().size()); });
+    at(360.0, [this] { node->recover(); });
+    submit(400.0, 9, 300 * kMillisecond, 0.9, true);
+    submit(400.0, 10, 200 * kMillisecond, 0.2, false);
+    at(452.3, [this] { node->set_degradation(0.5, 0.25); });
+    submit(470.9, 11, 50 * kMillisecond, 0.7, true);
+    at(555.5, [this] { dropped.push_back(node->crash().size()); });
+    at(600.0, [this] { node->recover(); });
+    // A mixed tail that runs to completion.
+    for (std::uint64_t i = 0; i < 6; ++i)
+      submit(610.0 + 7.3 * static_cast<double>(i), 12 + i,
+             (20 + 15 * static_cast<Time>(i)) * kMillisecond,
+             0.15 * static_cast<double>(i), i % 2 == 1);
+    at(1990.0, [this] { node->set_degradation(1.0, 1.0); });
+    at(1999.0, [this] { idle_before_ties = node->live_processes() == 0; });
+    // Arrivals exactly at a slice end of a lone run. These events were
+    // scheduled before the slice's own end event, so they run first: the
+    // slice ending now is still in progress when they read it. A quantum
+    // takes 7,692,308 ns at CPU speed 1.3, a page 2,857,143 ns at disk
+    // speed 0.7; the CPU run starts after a 50 us context switch.
+    submit(2000.0, 20, 200 * kMillisecond, 1.0, false);
+    submit(2023.126924, 21, 30 * kMillisecond, 1.0, false);
+    submit(2100.0, 22, 40 * kMillisecond, 0.0, false);
+    submit(2105.714286, 23, 10 * kMillisecond, 0.0, false);
+  }
+
+  bool idle_before_ties = false;
+};
+
+void expect_same_node_state(const ScriptedNode& a, const ScriptedNode& b,
+                            Time t) {
+  const Node& x = *a.node;
+  const Node& y = *b.node;
+  EXPECT_EQ(x.cpu_busy_until(t), y.cpu_busy_until(t)) << t;
+  EXPECT_EQ(x.disk_busy_until(t), y.disk_busy_until(t)) << t;
+  const NodeCounts cx = x.counts();
+  const NodeCounts cy = y.counts();
+  EXPECT_EQ(cx.forks, cy.forks) << t;
+  EXPECT_EQ(cx.context_switches, cy.context_switches) << t;
+  EXPECT_EQ(cx.preemptions, cy.preemptions) << t;
+  EXPECT_EQ(cx.cpu_slices, cy.cpu_slices) << t;
+  EXPECT_EQ(cx.disk_slices, cy.disk_slices) << t;
+  EXPECT_EQ(x.total_cpu_service(), y.total_cpu_service()) << t;
+  EXPECT_EQ(x.total_disk_service(), y.total_disk_service()) << t;
+  EXPECT_EQ(x.total_context_switch(), y.total_context_switch()) << t;
+  EXPECT_EQ(x.live_processes(), y.live_processes()) << t;
+  EXPECT_EQ(x.run_queue_length(), y.run_queue_length()) << t;
+  EXPECT_EQ(x.disk_queue_length(), y.disk_queue_length()) << t;
+}
+
+void expect_slicing_is_invisible(const OsParams& os) {
+  ScriptedNode sliced(os, true);
+  ScriptedNode whole(os, false);
+  for (Time t = 0; t <= 2400 * kMillisecond; t += kMillisecond) {
+    sliced.engine.run_until(t);
+    whole.engine.run_until(t);
+    expect_same_node_state(sliced, whole, t);
+    if (::testing::Test::HasFailure()) return;
+  }
+  sliced.engine.run();
+  whole.engine.run();
+  expect_same_node_state(sliced, whole, sliced.engine.now());
+  EXPECT_EQ(sliced.engine.now(), whole.engine.now());
+  ASSERT_EQ(sliced.done.size(), whole.done.size());
+  for (std::size_t i = 0; i < sliced.done.size(); ++i) {
+    EXPECT_EQ(sliced.done[i].id, whole.done[i].id) << i;
+    EXPECT_EQ(sliced.done[i].at, whole.done[i].at) << i;
+  }
+  EXPECT_EQ(sliced.dropped, whole.dropped);
+  EXPECT_EQ(sliced.aborted, whole.aborted);
+  // The script reaches what it is meant to: completions, aborts of live
+  // processes, crashes that drop work, and runs that skip slice ends.
+  EXPECT_EQ(sliced.done.size(), 13u);
+  EXPECT_TRUE(sliced.idle_before_ties);
+  EXPECT_EQ(sliced.aborted, (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(sliced.dropped, (std::vector<std::size_t>{2, 3}));
+  EXPECT_LT(whole.engine.events_processed(),
+            sliced.engine.events_processed());
+}
+
+TEST(Node, WholePhaseRunsMatchPerSliceEvents) {
+  // Default OS: the second arrivals preempt the CPU hog.
+  expect_slicing_is_invisible(OsParams{});
+}
+
+TEST(Node, WholePhaseRunsMatchPerSliceEventsWithoutPreemption) {
+  // One priority level: no arrival preempts, so every second arrival cuts
+  // the running process's run; long I/O phases make long disk runs.
+  OsParams os;
+  os.priority_levels = 1;
+  os.io_cycle_target = 40 * kMillisecond;
+  expect_slicing_is_invisible(os);
 }
 
 }  // namespace
