@@ -113,8 +113,13 @@ Network::Network(sim::Engine& engine, const NetworkParams& params, int nodes,
   if (nodes_ <= 0) throw std::invalid_argument("network: need nodes > 0");
   if (params_.loss < 0.0 || params_.loss >= 1.0)
     throw std::invalid_argument("network: loss must be in [0, 1)");
-  if (params_.latency_base_s < 0.0 || params_.control_latency_s < 0.0)
-    throw std::invalid_argument("network: negative latency");
+  for (const double seconds :
+       {params_.latency_base_s, params_.latency_jitter_s,
+        params_.control_latency_s, params_.control_jitter_s}) {
+    if (!std::isfinite(seconds) || seconds < 0.0)
+      throw std::invalid_argument(
+          "network: latency and jitter must be finite and >= 0");
+  }
   if (params_.link_spread < 0.0 || params_.link_spread >= 1.0)
     throw std::invalid_argument("network: link_spread must be in [0, 1)");
   for (const PartitionSpec& spec : params_.partitions) {

@@ -7,11 +7,13 @@
 // quorum.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
+#include "harness/bench_cli.hpp"
 #include "harness/sweep.hpp"
 #include "net/net_health.hpp"
 #include "net/network.hpp"
@@ -85,6 +87,41 @@ TEST(Network, RejectsBadConfig) {
   window.groups = {{0, 1}, {1, 2}};  // node 1 in two groups
   params.partitions = {window};
   EXPECT_THROW(net::Network(engine, params, 4, 1), std::invalid_argument);
+}
+
+TEST(Network, RejectsNonFiniteOrNegativeLatency) {
+  sim::Engine engine;
+  for (double net::NetworkParams::*field :
+       {&net::NetworkParams::latency_base_s,
+        &net::NetworkParams::latency_jitter_s,
+        &net::NetworkParams::control_latency_s,
+        &net::NetworkParams::control_jitter_s}) {
+    for (const double bad : {std::nan(""), HUGE_VAL, -0.001}) {
+      net::NetworkParams params;
+      params.enabled = true;
+      params.*field = bad;
+      EXPECT_THROW(net::Network(engine, params, 4, 1), std::invalid_argument)
+          << bad;
+    }
+  }
+}
+
+TEST(Network, NetLatencyFlagMustParseWhole) {
+  const auto parse = [](const char* value) {
+    const char* argv[] = {"bench", "--net-latency", value};
+    return harness::BenchCli(3, argv).net;
+  };
+  for (const char* bad : {"0.001abc", "nan", "inf", "-0.001", "", ":0.001",
+                          "0.001:", "0.001:nan", "0.001:-1", "0.001:2x",
+                          " 0.001", "0x1", "0.001:0.002:0.003"}) {
+    EXPECT_THROW(parse(bad), std::invalid_argument) << bad;
+  }
+  const net::NetworkParams base = parse("0.002");
+  EXPECT_TRUE(base.enabled);
+  EXPECT_EQ(base.latency_base_s, 0.002);
+  const net::NetworkParams both = parse("2e-3:0.0005");
+  EXPECT_EQ(both.latency_base_s, 0.002);
+  EXPECT_EQ(both.latency_jitter_s, 0.0005);
 }
 
 // --- Latency / loss determinism ---
