@@ -184,8 +184,13 @@ bool Engine::prepare_next() {
     auto& vec = buckets_[cur_bucket_ & kBucketMask];
     if (cur_sorted_) {
       if (run_pos_ < vec.size()) return true;
-      // Exhausted: release the bucket and move on.
-      vec.clear();
+      // Exhausted: release the bucket and move on. A burst's storage goes
+      // back to the heap, so the ring holds what is pending rather than
+      // every bucket's high-water mark; small buckets keep theirs.
+      if (vec.capacity() > kBucketKeepEvents)
+        std::vector<Event>().swap(vec);
+      else
+        vec.clear();
       bitmap_[(cur_bucket_ & kBucketMask) >> 6] &=
           ~(1ull << (cur_bucket_ & 63));
       cur_sorted_ = false;
@@ -228,6 +233,12 @@ Engine::Event Engine::take_next() {
   }
   --ring_count_;
   return buckets_[cur_bucket_ & kBucketMask][run_pos_++];
+}
+
+std::size_t Engine::reserved_events() const {
+  std::size_t total = overflow_.capacity();
+  for (const std::vector<Event>& vec : buckets_) total += vec.capacity();
+  return total;
 }
 
 void Engine::dispatch(const Event& e) {

@@ -68,6 +68,14 @@ class Engine {
   Time now() const { return now_; }
   std::uint64_t events_processed() const { return processed_; }
   std::size_t pending() const { return size_; }
+  /// Event slots the calendar holds allocated (bucket ring and overflow
+  /// heap), pending or not. Drained buckets keep at most
+  /// kBucketKeepEvents slots each, so this follows the pending count.
+  std::size_t reserved_events() const;
+
+  static constexpr std::size_t kCalendarBuckets = 2048;
+  /// Slots a drained bucket may keep; a larger burst's storage is freed.
+  static constexpr std::size_t kBucketKeepEvents = 64;
 
   /// Schedules `fn` at absolute time t (>= now; earlier times are clamped
   /// to now so floating-point-derived durations can't move time backwards).
@@ -147,7 +155,8 @@ class Engine {
   static_assert(sizeof(Event) == 40, "calendar entries stay 40 bytes");
 
   static constexpr int kBucketBits = 11;
-  static constexpr std::uint64_t kBuckets = 1ull << kBucketBits;  // 2048
+  static constexpr std::uint64_t kBuckets = 1ull << kBucketBits;
+  static_assert(kBuckets == kCalendarBuckets);
   static constexpr std::uint64_t kBucketMask = kBuckets - 1;
   static constexpr int kDefaultShift = 19;  ///< 2^19 ns ≈ 0.52 ms buckets
 
