@@ -15,6 +15,7 @@
 #include "net/stale_view.hpp"
 #include "obs/log.hpp"
 #include "overload/backoff.hpp"
+#include "sim/id_window.hpp"
 #include "sim/slot_pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -52,20 +53,23 @@ ReservationConfig reservation_config(const ClusterConfig& config) {
   return res_cfg;
 }
 
-/// Per-request hedge bookkeeping, indexed by the dense job id. The
-/// primary/hedge node fields track where each leg currently sits so the
-/// winner can cancel the loser and the fire timer can exclude the
-/// primary's node from the copy's candidate pool.
+/// Per-request hedge bookkeeping, held in a job-id window from the oldest
+/// unsettled request to the newest arrival. The primary/hedge node fields
+/// track where each leg currently sits so the winner can cancel the loser
+/// and the fire timer can exclude the primary's node from the copy's
+/// candidate pool.
 struct HedgeState {
   bool armed = false;     ///< hedge timer scheduled for this request
   bool launched = false;  ///< a copy was actually dispatched
-  /// First settlement wins: set exactly once per armed request, so a
-  /// racing loser completion (finished before its cancellation landed) is
-  /// dropped and never double-counted.
+  /// First settlement wins: set once per request (by the winning leg of an
+  /// armed request, else when it leaves), so a racing loser completion
+  /// (finished before its cancellation landed) is dropped and never
+  /// double-counted.
   bool settled = false;
   int primary_node = -1;  ///< node the primary occupies (-1 = in flight)
   int hedge_node = -1;    ///< node the copy occupies (-1 = none)
-  /// The request as it arrived, held in hedge_origins_ until it settles.
+  /// The request as it arrived, held in hedge_origins_ until it settles;
+  /// null once settled, which lets the window's base pass the entry.
   trace::TraceRecord* origin = nullptr;
 };
 
@@ -90,9 +94,6 @@ class ClusterRun {
         dispatcher_(dispatcher),
         source_(source),
         pending_(first) {
-    // Capacity hint for the tables indexed by job id (never a bound).
-    const std::size_t expected_requests = source.size_hint() + 1;
-    if (spans_ != nullptr) spans_->reserve(expected_requests);
     if (config_.max_events > 0 || config_.wall_budget_s > 0.0) {
       engine_.set_guard(config_.max_events, config_.wall_budget_s);
       if (tracer_ != nullptr)
@@ -120,7 +121,7 @@ class ClusterRun {
     if (config_.overload.deadline.any())
       metrics_.set_deadlines(from_seconds(config_.overload.deadline.static_s),
                              from_seconds(config_.overload.deadline.dynamic_s));
-    setup_hedge(expected_requests);
+    setup_hedge();
     setup_overload();
     for (int i = 0; i < config_.p; ++i)
       nodes_[static_cast<std::size_t>(i)]->set_completion_callback(
@@ -174,6 +175,7 @@ class ClusterRun {
     const Time end = engine_.now();
     result_.metrics = metrics_.summary();
     result_.events = engine_.events_processed();
+    result_.hedge_window_high_water = hedge_state_.high_water();
     result_.sim_seconds = to_seconds(end);
     if (faults_on_) {
       result_.availability = injector_->availability(end);
@@ -472,10 +474,8 @@ class ClusterRun {
     view_.reservation_rejections = &result_.reservation_rejections;
   }
 
-  void setup_hedge(std::size_t expected_requests) {
+  void setup_hedge() {
     if (!hedges_on_) return;
-    hedge_state_.reserve(expected_requests);
-    hedge_state_.emplace_back();  // job ids start at 1
     hedge_stretch_dyn_.set_min_samples(16);
     hedge_stretch_stat_.set_min_samples(16);
   }
@@ -513,10 +513,9 @@ class ClusterRun {
                  .request = rec,
                  .cluster_arrival = engine_.now()};
     if (hedges_on_) {
-      HedgeState hs;
+      HedgeState& hs = *hedge_state_.ensure(job.id);
       hs.origin = hedge_origins_.acquire();
       *hs.origin = rec;
-      hedge_state_.push_back(hs);
     }
     if (spans_ != nullptr)
       spans_->on_arrival(job.id, engine_.now(), rec.is_dynamic(),
@@ -682,12 +681,12 @@ class ClusterRun {
 
   void complete(const sim::Job& job, int node, Time completion) {
     if (hedges_on_) {
-      HedgeState& hs = hedge_state_[static_cast<std::size_t>(job.id)];
+      // First completion wins. A loser that finished before its
+      // cancellation landed (or after a terminal settle) fails the claim
+      // and is dropped without touching any counter.
+      if (hedge_settled(job.id)) return;
+      HedgeState& hs = *hedge_state_.find(job.id);
       if (hs.armed) {
-        // First completion wins. A loser that finished before its
-        // cancellation landed (or after a terminal settle) fails the claim
-        // and is dropped without touching any counter.
-        if (hs.settled) return;
         hs.settled = true;
         const int loser =
             job.hedge ? hs.primary_node : (hs.launched ? hs.hedge_node : -1);
@@ -865,8 +864,9 @@ class ClusterRun {
   /// Hedge fire: re-dispatch a copy of a still-unsettled request to the
   /// next-best node, the primary's node excluded from the pick.
   void hedge_fire(std::uint64_t id) {
-    HedgeState& hs = hedge_state_[static_cast<std::size_t>(id)];
-    if (hs.settled || hs.launched) return;
+    if (hedge_settled(id)) return;
+    HedgeState& hs = *hedge_state_.find(id);
+    if (hs.launched) return;
     if (hs.primary_node < 0) {
       // The primary is mid-hop or mid-backoff: check again shortly (the
       // terminal paths settle the id, so the re-check always ends).
@@ -921,7 +921,7 @@ class ClusterRun {
     if (hedge_settled(job.id)) return;
     sim::Node* target = node_ptrs_[static_cast<std::size_t>(node)];
     if (!target->alive()) {
-      hedge_state_[static_cast<std::size_t>(job.id)].hedge_node = -1;
+      hedge_state_.find(job.id)->hedge_node = -1;
       return;
     }
     target->submit(std::move(job));
@@ -981,8 +981,10 @@ class ClusterRun {
     return (overload_on_ && overload_->consume_abandoned(id)) ||
            (hedges_on_ && hedge_settled(id));
   }
+  /// A retired id (below the window's base) has settled.
   bool hedge_settled(std::uint64_t id) const {
-    return hedge_state_[static_cast<std::size_t>(id)].settled;
+    const HedgeState* hs = hedge_state_.find(id);
+    return hs == nullptr || hs->settled;
   }
 
   /// Arms the hedge timer on first admission (client retries and drain
@@ -990,8 +992,9 @@ class ClusterRun {
   /// Until the trailing window primes there is no trustworthy tail
   /// estimate, so early requests simply don't hedge.
   void arm_hedge(const sim::Job& job, bool was_dynamic) {
-    HedgeState& hs = hedge_state_[static_cast<std::size_t>(job.id)];
-    if (hs.armed) return;
+    HedgeState* const entry = hedge_state_.find(job.id);
+    if (entry == nullptr || entry->armed) return;
+    HedgeState& hs = *entry;
     Time delay = 0;
     if (config_.hedge.delay_s > 0.0) {
       delay = from_seconds(config_.hedge.delay_s);
@@ -1017,19 +1020,20 @@ class ClusterRun {
   /// (copies and primaries track separately).
   void hedge_note_node(const sim::Job& job, int node) {
     if (!hedges_on_) return;
-    HedgeState& hs = hedge_state_[static_cast<std::size_t>(job.id)];
+    HedgeState* hs = hedge_state_.find(job.id);
+    if (hs == nullptr) return;  // retired: nothing reads it again
     if (job.hedge)
-      hs.hedge_node = node;
+      hs->hedge_node = node;
     else
-      hs.primary_node = node;
+      hs->primary_node = node;
   }
 
   /// Settles the hedge race for a request leaving without completing and
   /// cancels its outstanding copy.
   void hedge_on_terminal(std::uint64_t id) {
-    if (!hedges_on_) return;
-    HedgeState& hs = hedge_state_[static_cast<std::size_t>(id)];
-    if (!hs.armed || hs.settled) return;
+    if (!hedges_on_ || hedge_settled(id)) return;
+    HedgeState& hs = *hedge_state_.find(id);
+    if (!hs.armed) return;
     hs.settled = true;
     if (hs.launched && hs.hedge_node >= 0 &&
         node_ptrs_[static_cast<std::size_t>(hs.hedge_node)]->cancel(id))
@@ -1037,11 +1041,18 @@ class ClusterRun {
   }
 
   /// A request leaves the system for good (completed, timed out, shed or
-  /// abandoned): its hedge origin is released, and the run stops once
-  /// nothing is pending or unsettled.
+  /// abandoned): its hedge origin is released, the hedge window's base
+  /// moves past every settled request at its front, and the run stops
+  /// once nothing is pending or unsettled.
   void settle(std::uint64_t id) {
-    if (hedges_on_)
-      hedge_origins_.release(hedge_state_[static_cast<std::size_t>(id)].origin);
+    if (hedges_on_) {
+      HedgeState& hs = *hedge_state_.find(id);
+      hs.settled = true;
+      hedge_origins_.release(hs.origin);
+      hs.origin = nullptr;
+      while (!hedge_state_.empty() && hedge_state_.front().origin == nullptr)
+        hedge_state_.pop_front();
+    }
     if (--remaining_ == 0) engine_.stop();
   }
 
@@ -1504,7 +1515,7 @@ class ClusterRun {
   std::vector<int> pending_promotions_;
 
   // Hedged dispatch.
-  std::vector<HedgeState> hedge_state_;
+  sim::IdWindow<HedgeState> hedge_state_;
   /// The request as it arrived (before any cache-hit demotion), which is
   /// what a hedge copy re-routes. Held only while the request is
   /// unsettled: slots are released at settlement.

@@ -137,6 +137,10 @@ struct RunResult {
   std::vector<double> node_disk_utilization;
   std::uint64_t events = 0;
   double sim_seconds = 0.0;
+  /// The most hedge-state entries held at once (0 with hedging off): the
+  /// widest spread from the oldest unsettled request to the newest
+  /// arrival. A resident-memory gauge, not a metric column.
+  std::size_t hedge_window_high_water = 0;
   /// Reservation-controller end state (M/S family only).
   double theta_limit = 0.0;
   double a_hat = 0.0;

@@ -34,20 +34,16 @@ const char* to_string(SpanOutcome outcome) {
   return "?";
 }
 
-SpanRecorder::SpanRecorder(int exemplars) : retain_(std::max(exemplars, 0)) {}
-
-SpanRecorder::Req& SpanRecorder::ensure(std::uint64_t job) {
-  if (job >= reqs_.size()) reqs_.resize(job + 1);
-  return reqs_[job];
+SpanRecorder::SpanRecorder(int exemplars) : retain_(std::max(exemplars, 0)) {
+  retired_.enabled = true;
 }
 
 SpanRecorder::Req* SpanRecorder::live(std::uint64_t job) {
-  if (job >= reqs_.size()) return nullptr;
-  Req& r = reqs_[job];
+  Req* r = reqs_.find(job);
   // Unknown id, or already terminated (e.g. a completion racing a
   // client abandonment): every later hook is a no-op.
-  if (r.arrival < 0 || r.end >= 0) return nullptr;
-  return &r;
+  if (r == nullptr || r->arrival < 0 || r->end >= 0) return nullptr;
+  return r;
 }
 
 void SpanRecorder::charge(Req& r, Time t) {
@@ -123,7 +119,7 @@ void SpanRecorder::retain(std::uint64_t job, Req& r) {
   // full sort whatever order requests terminate in.
   const double sojourn = to_seconds(r.end - r.arrival);
   const double basis = r.demand > 0 ? to_seconds(r.demand) : 1.0;
-  const Candidate candidate{job, sojourn / basis};
+  const Candidate candidate{job, sojourn / basis, r};
   std::vector<Candidate>& kept = kept_[r.dynamic ? 1 : 0];
   if (kept.size() < static_cast<std::size_t>(retain_)) {
     kept.push_back(candidate);
@@ -135,15 +131,17 @@ void SpanRecorder::retain(std::uint64_t job, Req& r) {
     return;
   }
   std::pop_heap(kept.begin(), kept.end(), ranks_before);
-  release(reqs_[kept.back().job]);
+  release(kept.back().req);
   kept.back() = candidate;
   std::push_heap(kept.begin(), kept.end(), ranks_before);
 }
 
 void SpanRecorder::on_arrival(std::uint64_t job, Time t, bool dynamic,
                               Time demand, int pid) {
-  Req& r = ensure(job);
-  if (r.arrival >= 0) return;  // duplicate arrival: impossible, but safe
+  Req* slot = reqs_.ensure(job);
+  // A retired id or a duplicate arrival: impossible, but safe.
+  if (slot == nullptr || slot->arrival >= 0) return;
+  Req& r = *slot;
   r.arrival = t;
   r.mark = t;
   r.cur = SpanPhase::kAdmission;
@@ -274,22 +272,41 @@ void SpanRecorder::terminal(std::uint64_t job, SpanOutcome outcome, Time t) {
     close_span(tree->root, end);
     retain(job, *r);
   }
+  // Fold the terminated prefix: the base stops at the oldest request
+  // still in flight.
+  while (!reqs_.empty() && reqs_.front().end >= 0) {
+    fold(reqs_.front(), retired_);
+    reqs_.pop_front();
+  }
+}
+
+void SpanRecorder::fold(const Req& r, SpanSummary& into) {
+  SpanClassSummary& cls = into.cls[r.dynamic ? 1 : 0];
+  ++cls.count;
+  cls.sojourn_s += to_seconds(r.end - r.arrival);
+  Time sum = 0;
+  for (std::size_t i = 0; i < kSpanPhaseCount; ++i) {
+    cls.phase_s[i] += to_seconds(r.phase_ns[i]);
+    sum += r.phase_ns[i];
+  }
+  if (sum != r.end - r.arrival) ++into.closure_violations;
+  ++into.outcomes[static_cast<std::size_t>(r.outcome)];
+  into.max_attempts = std::max(into.max_attempts, r.attempts);
 }
 
 SpanSummary SpanRecorder::summarize() const {
-  SpanSummary summary;
-  summary.enabled = true;
-  for (const Req& r : reqs_) {
-    if (r.arrival < 0 || r.end < 0) continue;
-    SpanClassSummary& cls = summary.cls[r.dynamic ? 1 : 0];
-    ++cls.count;
-    cls.sojourn_s += to_seconds(r.end - r.arrival);
-    Time sum = 0;
-    for (std::size_t i = 0; i < kSpanPhaseCount; ++i) {
-      cls.phase_s[i] += to_seconds(r.phase_ns[i]);
-      sum += r.phase_ns[i];
+  // Everything below the base is folded already; the window's terminated
+  // entries follow in job-id order, which keeps every double addition in
+  // the order of one walk over all requests.
+  SpanSummary summary = retired_;
+  for (std::uint64_t job = reqs_.base(); job < reqs_.end(); ++job) {
+    const Req& r = *reqs_.find(job);
+    if (r.arrival < 0) continue;
+    if (r.end < 0) {
+      ++summary.outcomes[static_cast<std::size_t>(SpanOutcome::kInFlight)];
+      continue;
     }
-    if (sum != r.end - r.arrival) ++summary.closure_violations;
+    fold(r, summary);
   }
   return summary;
 }
@@ -322,7 +339,7 @@ void SpanRecorder::write_exemplars(std::ostream& out, int k) const {
   bool first_exemplar = true;
   for (const auto& candidates : by_class) {
     for (const Candidate& candidate : candidates) {
-      const Req& r = reqs_[candidate.job];
+      const Req& r = candidate.req;
       if (!first_exemplar) buf += ',';
       first_exemplar = false;
       field("\n    {\"job\": ", static_cast<std::int64_t>(candidate.job));

@@ -28,12 +28,17 @@
 // the mark's forward movement, and the recorded end *is* the final mark.
 //
 // Storage follows the hot-path conventions (DESIGN.md section 14): one
-// POD Req per request indexed directly by the dense job id, sized once
-// by reserve(). Span trees are kept only where something can still read
-// them: every in-flight request owns a chain in a free-listed SpanNode
-// pool, and at terminal() a request's chain is either retained (it is
-// among the worst K of its class so far) or returned to the free list;
-// an evicted exemplar returns its chain the same way. A recorder built
+// POD Req per request in a job-id window (sim::IdWindow) that runs from
+// the oldest in-flight request to the newest arrival. As the window's
+// base passes terminated requests it folds them into the per-class sums
+// in job-id order, so summarize() adds the same doubles in the same order
+// as a walk over every request would, and the ledger's size follows the
+// in-flight spread rather than the request count. Span trees are kept
+// only where something can still read them: every in-flight request owns
+// a chain in a free-listed SpanNode pool, and at terminal() a request's
+// chain is either retained with a copy of its Req (it is among the worst
+// K of its class so far) or returned to the free list; an evicted
+// exemplar returns its chain the same way. A recorder built
 // with K == 0 keeps the ledger alone and builds no tree. Names are
 // static string literals, and all JSON formatting is deferred to write
 // time. Every hook is null-guarded at the call site, so a run with spans
@@ -45,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/id_window.hpp"
 #include "sim/slot_pool.hpp"
 #include "util/time.hpp"
 
@@ -63,6 +69,7 @@ enum class SpanPhase : std::uint8_t {
 };
 
 inline constexpr std::size_t kSpanPhaseCount = 8;
+inline constexpr std::size_t kSpanOutcomeCount = 5;
 
 const char* to_string(SpanPhase phase);
 
@@ -116,8 +123,17 @@ struct SpanSummary {
   bool enabled = false;
   SpanClassSummary cls[2];  ///< [0] static, [1] dynamic
   /// Requests whose phase sums missed their sojourn — structurally zero
-  /// (the ledger telescopes); recomputed in summarize() as a self-check.
+  /// (the ledger telescopes); checked on every request as it is folded.
   std::uint64_t closure_violations = 0;
+  /// Recorded requests by outcome, indexed by SpanOutcome; kInFlight
+  /// counts the requests not yet terminated.
+  std::uint64_t outcomes[kSpanOutcomeCount] = {};
+  /// The most node visits any terminated request made.
+  std::uint32_t max_attempts = 0;
+
+  std::uint64_t outcome_count(SpanOutcome outcome) const {
+    return outcomes[static_cast<std::size_t>(outcome)];
+  }
 };
 
 class SpanRecorder {
@@ -128,9 +144,6 @@ class SpanRecorder {
   /// most write_exemplars() can dump); 0 keeps the phase ledger alone.
   explicit SpanRecorder(int exemplars = 3);
 
-  /// Sizes the ledger for job ids below `requests`, so it never regrows.
-  void reserve(std::size_t requests) { reqs_.reserve(requests); }
-
   /// True when span trees are kept (K > 0). A ledger-only recorder
   /// charges nothing for a zero-length phase, so a node may skip the
   /// wait/run marks between back-to-back slices of one process.
@@ -139,7 +152,8 @@ class SpanRecorder {
   // --- lifecycle hooks (called from cluster / node / rpc sites) ---
 
   /// Request arrival at the front end: opens the root span and starts
-  /// the ledger in kAdmission.
+  /// the ledger in kAdmission. Job ids arrive in increasing order (an id
+  /// below the window's base has already retired and is ignored).
   void on_arrival(std::uint64_t job, Time t, bool dynamic, Time demand,
                   int pid);
 
@@ -177,38 +191,17 @@ class SpanRecorder {
 
   // --- queries (tests, summary, exemplars) ---
 
-  bool recorded(std::uint64_t job) const {
-    return job < reqs_.size() && reqs_[job].arrival >= 0;
-  }
-  SpanOutcome outcome(std::uint64_t job) const {
-    return recorded(job) ? reqs_[job].outcome : SpanOutcome::kInFlight;
-  }
-  Time phase_total(std::uint64_t job, SpanPhase phase) const {
-    return recorded(job)
-               ? reqs_[job].phase_ns[static_cast<std::size_t>(phase)]
-               : 0;
-  }
-  /// Terminal time - arrival time; -1 while the request is in flight.
-  Time sojourn(std::uint64_t job) const {
-    if (!recorded(job) || reqs_[job].end < 0) return -1;
-    return reqs_[job].end - reqs_[job].arrival;
-  }
-  Time arrival(std::uint64_t job) const {
-    return recorded(job) ? reqs_[job].arrival : -1;
-  }
-  std::uint32_t attempts(std::uint64_t job) const {
-    return recorded(job) ? reqs_[job].attempts : 0;
-  }
-  /// Largest job id seen + 1 (ids are dense, so this bounds iteration).
-  std::size_t request_capacity() const { return reqs_.size(); }
+  /// The most ledger entries held at once: the widest spread from the
+  /// oldest in-flight request to the newest arrival.
+  std::size_t window_high_water() const { return reqs_.high_water(); }
   /// Spans currently held: in-flight chains plus retained exemplar trees.
   std::size_t span_count() const { return live_spans_; }
   /// Span pool slots ever allocated: the high-water mark of span_count().
   std::size_t span_slots() const { return pool_.size(); }
 
   /// Folds the ledger into per-class per-phase sums over terminated
-  /// requests (in-flight requests are excluded — their decomposition is
-  /// not yet closed).
+  /// requests in job-id order (in-flight requests are excluded — their
+  /// decomposition is not yet closed — and only counted).
   SpanSummary summarize() const;
 
   /// Dumps the worst `k` requests per class by stretch (sojourn /
@@ -223,7 +216,7 @@ class SpanRecorder {
  private:
   struct Tree;
 
-  /// Per-request phase ledger. POD, pooled by job id.
+  /// Per-request phase ledger. POD, held in the job-id window.
   struct Req {
     Time arrival = -1;  ///< -1 == slot never used
     Time end = -1;      ///< -1 == still in flight
@@ -251,9 +244,12 @@ class SpanRecorder {
   };
 
   /// Exemplar candidate: ranked by (stretch desc, job asc) within a class.
+  /// Keeps its own copy of the terminated ledger entry, which the window
+  /// drops once its base passes the job.
   struct Candidate {
     std::uint64_t job = 0;
     double stretch = 0.0;
+    Req req;
   };
   static bool ranks_before(const Candidate& a, const Candidate& b) {
     if (a.stretch != b.stretch) return a.stretch > b.stretch;
@@ -261,7 +257,9 @@ class SpanRecorder {
   }
 
   Req* live(std::uint64_t job);  ///< null if unknown or already terminal
-  Req& ensure(std::uint64_t job);
+  /// Adds a terminated request to `into`: class sums, outcome tally,
+  /// attempts and the closure self-check.
+  static void fold(const Req& r, SpanSummary& into);
   /// Charges max(0, t - mark) to the current phase and advances the mark
   /// to max(mark, t); every charge equals the mark's movement, so the
   /// phase sums telescope to mark - arrival exactly.
@@ -280,7 +278,9 @@ class SpanRecorder {
   void release(Req& r);
 
   int retain_ = 0;              ///< trees retained per class (K)
-  std::vector<Req> reqs_;       ///< indexed by job id (dense from 1)
+  sim::IdWindow<Req> reqs_;     ///< oldest in-flight job .. newest arrival
+  /// Every request the window's base has passed, folded in job-id order.
+  SpanSummary retired_;
   sim::SlotPool<Tree> trees_;   ///< cursor slots
   std::vector<SpanNode> pool_;  ///< span slots, free-listed via `next`
   std::uint32_t free_span_ = kNoSpan;

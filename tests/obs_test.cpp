@@ -744,30 +744,26 @@ TEST(ObsGuard, PropagatesThroughExperiment) {
 
 // --- request-causal span tracing ---
 
-/// Per-job closure: the eight ledger phases must sum to the sojourn
-/// exactly (integer nanoseconds). Returns the number of terminated jobs.
-std::uint64_t assert_closure(const obs::SpanRecorder& spans) {
+/// The recorder's tallies, taken as each request is folded: per-job
+/// closure (the eight ledger phases sum to the sojourn exactly, integer
+/// nanoseconds) is checked on every terminated request, and the outcome
+/// tallies must account for exactly the requests the class sums hold.
+obs::SpanSummary checked_summary(const obs::SpanRecorder& spans) {
+  const obs::SpanSummary summary = spans.summarize();
+  EXPECT_TRUE(summary.enabled);
+  EXPECT_EQ(summary.closure_violations, 0u)
+      << "phase sums missed the sojourn";
   std::uint64_t terminated = 0;
-  for (std::uint64_t job = 0; job < spans.request_capacity(); ++job) {
-    if (!spans.recorded(job)) continue;
-    if (spans.outcome(job) == obs::SpanOutcome::kInFlight) continue;
-    ++terminated;
-    Time total = 0;
-    for (std::size_t ph = 0; ph < obs::kSpanPhaseCount; ++ph)
-      total += spans.phase_total(job, static_cast<obs::SpanPhase>(ph));
-    EXPECT_EQ(total, spans.sojourn(job))
-        << "closure violated for job " << job << " ("
-        << obs::to_string(spans.outcome(job)) << ")";
-  }
-  return terminated;
+  for (std::size_t o = 0; o < obs::kSpanOutcomeCount; ++o)
+    if (static_cast<obs::SpanOutcome>(o) != obs::SpanOutcome::kInFlight)
+      terminated += summary.outcomes[o];
+  EXPECT_EQ(terminated, summary.cls[0].count + summary.cls[1].count);
+  return summary;
 }
 
-std::uint64_t outcome_count(const obs::SpanRecorder& spans,
-                            obs::SpanOutcome outcome) {
-  std::uint64_t n = 0;
-  for (std::uint64_t job = 0; job < spans.request_capacity(); ++job)
-    if (spans.recorded(job) && spans.outcome(job) == outcome) ++n;
-  return n;
+/// Requests the summary holds as terminated.
+std::uint64_t terminated_count(const obs::SpanSummary& summary) {
+  return summary.cls[0].count + summary.cls[1].count;
 }
 
 TEST(ObsSpans, ClosureAndLedgerUnderOverload) {
@@ -785,23 +781,18 @@ TEST(ObsSpans, ClosureAndLedgerUnderOverload) {
   const auto result = core::run_experiment(spec);
 
   // Every submitted request was recorded and reached a terminal state.
-  EXPECT_EQ(outcome_count(spans, obs::SpanOutcome::kInFlight), 0u);
-  EXPECT_EQ(assert_closure(spans), result.run.submitted);
+  const obs::SpanSummary summary = checked_summary(spans);
+  EXPECT_EQ(summary.outcome_count(obs::SpanOutcome::kInFlight), 0u);
+  EXPECT_EQ(terminated_count(summary), result.run.submitted);
 
   // The recorder's outcome tallies are the overload ledger, recounted.
-  EXPECT_EQ(outcome_count(spans, obs::SpanOutcome::kCompleted),
+  EXPECT_EQ(summary.outcome_count(obs::SpanOutcome::kCompleted),
             result.run.completed);
-  EXPECT_EQ(outcome_count(spans, obs::SpanOutcome::kShed), result.run.shed);
-  EXPECT_EQ(outcome_count(spans, obs::SpanOutcome::kAbandoned),
+  EXPECT_EQ(summary.outcome_count(obs::SpanOutcome::kShed), result.run.shed);
+  EXPECT_EQ(summary.outcome_count(obs::SpanOutcome::kAbandoned),
             result.run.abandoned);
   EXPECT_GT(result.run.shed, 0u);
   EXPECT_GT(result.run.abandoned, 0u);
-
-  const obs::SpanSummary summary = spans.summarize();
-  EXPECT_TRUE(summary.enabled);
-  EXPECT_EQ(summary.closure_violations, 0u);
-  EXPECT_EQ(summary.cls[0].count + summary.cls[1].count,
-            result.run.submitted);
   // Dynamic requests must spend CPU time; static ones disk time.
   EXPECT_GT(summary.cls[1].phase_s[static_cast<int>(obs::SpanPhase::kCpu)],
             0.0);
@@ -824,22 +815,19 @@ TEST(ObsSpans, ClosureAndAttemptsUnderFaults) {
   const auto result = core::run_experiment(spec);
   ASSERT_GT(result.run.redispatches, 0u);
 
-  EXPECT_EQ(assert_closure(spans), result.run.submitted);
-  EXPECT_EQ(outcome_count(spans, obs::SpanOutcome::kCompleted),
+  const obs::SpanSummary summary = checked_summary(spans);
+  EXPECT_EQ(terminated_count(summary), result.run.submitted);
+  EXPECT_EQ(summary.outcome_count(obs::SpanOutcome::kCompleted),
             result.run.completed);
-  EXPECT_EQ(outcome_count(spans, obs::SpanOutcome::kTimeout),
+  EXPECT_EQ(summary.outcome_count(obs::SpanOutcome::kTimeout),
             result.run.timeouts);
 
   // At least one request visited more than one node, and some failover
   // backoff time was charged cluster-wide.
-  std::uint32_t max_attempts = 0;
-  Time backoff_total = 0;
-  for (std::uint64_t job = 0; job < spans.request_capacity(); ++job) {
-    max_attempts = std::max(max_attempts, spans.attempts(job));
-    backoff_total += spans.phase_total(job, obs::SpanPhase::kBackoff);
-  }
-  EXPECT_GE(max_attempts, 2u);
-  EXPECT_GT(backoff_total, 0);
+  EXPECT_GE(summary.max_attempts, 2u);
+  const auto backoff = static_cast<std::size_t>(obs::SpanPhase::kBackoff);
+  EXPECT_GT(summary.cls[0].phase_s[backoff] + summary.cls[1].phase_s[backoff],
+            0.0);
 }
 
 TEST(ObsSpans, SharedColumnsUnchangedAndSpanColumnsAppended) {
@@ -1128,7 +1116,8 @@ TEST(ObsSpans, LiveSpansStayBoundedOverLongRun) {
   spec.duration_s = 300.0;
   spec.observer.spans = &spans;
   const auto result = core::run_experiment(spec);
-  ASSERT_EQ(outcome_count(spans, obs::SpanOutcome::kInFlight), 0u);
+  ASSERT_EQ(checked_summary(spans).outcome_count(obs::SpanOutcome::kInFlight),
+            0u);
 
   const auto parsed = JsonParser(spans.exemplars_str(3)).parse();
   ASSERT_TRUE(parsed.has_value());
@@ -1136,6 +1125,45 @@ TEST(ObsSpans, LiveSpansStayBoundedOverLongRun) {
   EXPECT_EQ(spans.span_count(), dumped_spans(*parsed));
   EXPECT_GT(result.run.submitted, 50'000u);
   EXPECT_LT(spans.span_slots(), result.run.submitted / 50);
+}
+
+TEST(ObsSpans, LedgerAndHedgeWindowsStayFlatOverTenfoldHorizon) {
+  // The span ledger and the hedge state hold a job-id window from the
+  // oldest request still in flight to the newest arrival, not one entry
+  // per request: ten times the horizon (and the requests) must leave both
+  // high-water marks where they were, with the ledger's totals intact.
+  struct Windows {
+    std::uint64_t submitted = 0;
+    std::size_t spans = 0;
+    std::size_t hedges = 0;
+  };
+  const auto run = [](double seconds) {
+    obs::SpanRecorder spans(3);
+    core::ExperimentSpec spec = obs_spec();
+    spec.duration_s = seconds;
+    spec.hedge.enabled = true;
+    spec.overload.deadline.static_s = 2.0;
+    spec.overload.deadline.dynamic_s = 5.0;
+    spec.observer.spans = &spans;
+    const auto result = core::run_experiment(spec);
+    EXPECT_GT(result.run.hedges_launched, 0u);
+    const obs::SpanSummary summary = checked_summary(spans);
+    EXPECT_EQ(summary.outcome_count(obs::SpanOutcome::kInFlight), 0u);
+    EXPECT_EQ(terminated_count(summary), result.run.submitted);
+    return Windows{result.run.submitted, spans.window_high_water(),
+                   result.run.hedge_window_high_water};
+  };
+  const Windows short_run = run(30.0);
+  const Windows long_run = run(300.0);
+  ASSERT_GT(long_run.submitted, 9 * short_run.submitted);
+  EXPECT_GT(short_run.spans, 0u);
+  EXPECT_GT(short_run.hedges, 0u);
+  EXPECT_LE(long_run.spans, 2 * short_run.spans)
+      << short_run.spans << " at 30 s, " << long_run.spans << " at 300 s";
+  EXPECT_LE(long_run.hedges, 2 * short_run.hedges)
+      << short_run.hedges << " at 30 s, " << long_run.hedges << " at 300 s";
+  EXPECT_LT(long_run.spans, long_run.submitted / 50);
+  EXPECT_LT(long_run.hedges, long_run.submitted / 50);
 }
 
 TEST(ObsSpans, LedgerOnlyRecorderSummarizesIdentically) {
