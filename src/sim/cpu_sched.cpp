@@ -76,15 +76,14 @@ void CpuScheduler::clear() {
 }
 
 void CpuScheduler::rebucket_all() {
-  std::vector<Process*> drained;
-  drained.reserve(size_);
+  drained_.clear();
   for (auto& level : levels_) {
-    for (Process* proc : level) drained.push_back(proc);
+    for (Process* proc : level) drained_.push_back(proc);
     level.clear();
   }
   nonempty_mask_ = 0;
   size_ = 0;
-  for (Process* proc : drained) enqueue(proc);
+  for (Process* proc : drained_) enqueue(proc);
 }
 
 }  // namespace wsched::sim

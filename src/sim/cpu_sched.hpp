@@ -63,6 +63,9 @@ class CpuScheduler {
   std::vector<std::deque<Process*>> levels_;
   std::size_t size_ = 0;
   std::uint64_t nonempty_mask_ = 0;  // bit i set when levels_[i] nonempty
+  /// rebucket_all()'s scratch: the queue in level order, reused so that
+  /// the periodic re-bucketing allocates nothing once warm.
+  std::vector<Process*> drained_;
 };
 
 }  // namespace wsched::sim
