@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -270,64 +271,57 @@ TEST(Rpc, UnreachableDestinationFailsAfterAllAttempts) {
 }
 
 TEST(Rpc, StaleEventsAfterSlotReuseAreIgnored) {
-  // Each call below is closed (acked) before the next one starts, so every
-  // call reuses the one slot. A closed call's events that are still
-  // pending must not touch the call that holds its slot now. Node
-  // degradation sets each message's latency: data 10 ms and control
-  // 0.5 ms, times the factor of a degraded endpoint.
-  sim::Engine engine;
-  net::NetworkParams params;
-  params.enabled = true;
-  params.latency_base_s = 0.010;
-  params.control_latency_s = 0.0005;
-  net::Network network(engine, params, 3, 3);
-  net::Rpc::Options options;
-  options.timeout = 50 * kMillisecond;
-  options.max_attempts = 3;
-  options.backoff = overload::BackoffConfig::linear(kMillisecond);
-  net::Rpc rpc(engine, network, options, 3);
-  CallCounts c, d, a, b;
-  const auto start = [&](int dst, CallCounts& counts) {
-    rpc.call(0, dst, &CallCounts::on_deliver, &CallCounts::on_fail, &counts);
+  // Each scenario below closes (acks) a call before the next one starts,
+  // so both calls share one slot. A closed call's events that are still
+  // pending must not touch the call that holds its slot now. Control
+  // messages (acks) take 0.5 ms; the RPC timeout is 50 ms.
+  const auto scenario = [](double data_latency_s, CallCounts& first,
+                           CallCounts& second, Time second_at) {
+    sim::Engine engine;
+    net::NetworkParams params;
+    params.enabled = true;
+    params.latency_base_s = data_latency_s;
+    params.control_latency_s = 0.0005;
+    net::Network network(engine, params, 3, 3);
+    net::Rpc::Options options;
+    options.timeout = 50 * kMillisecond;
+    options.max_attempts = 3;
+    options.backoff = overload::BackoffConfig::linear(kMillisecond);
+    net::Rpc rpc(engine, network, options, 3);
+    rpc.call(0, 1, &CallCounts::on_deliver, &CallCounts::on_fail, &first);
+    engine.schedule_at(second_at, [&] {
+      rpc.call(0, 2, &CallCounts::on_deliver, &CallCounts::on_fail, &second);
+    });
+    engine.run();
+    EXPECT_EQ(rpc.calls(), 2u);
+    EXPECT_EQ(rpc.failures(), 0u);
+    EXPECT_EQ(rpc.open_calls(), 0u);
+    return std::pair{rpc.retries(), rpc.duplicates()};
   };
-  const auto at_ms = [&](double ms, std::function<void()> fn) {
-    engine.schedule_at(from_seconds(ms / 1000.0), std::move(fn));
-  };
-  // Stale timeout. C (0 -> 1) is delivered at 10 ms and acked at 10.5 ms.
-  // D (0 -> 2, factor 4) takes its slot at 20 ms, still on attempt 1, and
-  // is acked at 62 ms. C's first timeout (50 ms) fires while D is open:
-  // it must not retransmit D.
-  at_ms(0, [&] { start(1, c); });
-  at_ms(20, [&] {
-    network.set_node_degradation(2, 0.0, 4.0);
-    start(2, d);
-  });
-  at_ms(100, [&] { network.set_node_degradation(2, 0.0, 1.0); });
-  // Late duplicate. A (0 -> 1, factor 8) sends its first copy at 200 ms
-  // (lands at 280 ms), times out at 250 ms, and retransmits at 251 ms over
-  // the healed link; that copy lands at 261 ms and A is acked at 261.5 ms.
-  // B (0 -> 2, factor 3) takes the slot at 262 ms and is delivered at
-  // 292 ms. A's first copy lands at 280 ms as a duplicate: it must not ack
-  // B, or B's own copy would find the call closed and B would never run.
-  at_ms(200, [&] {
-    network.set_node_degradation(1, 0.0, 8.0);
-    start(1, a);
-  });
-  at_ms(250.5, [&] { network.set_node_degradation(1, 0.0, 1.0); });
-  at_ms(262, [&] {
-    network.set_node_degradation(2, 0.0, 3.0);
-    start(2, b);
-  });
-  engine.run();
+  // Stale timeout. Data takes 30 ms. C (0 -> 1) is delivered at 30 ms and
+  // acked at 30.5 ms. D (0 -> 2) takes its slot at 31 ms and is acked at
+  // 61.5 ms, still on attempt 1. C's timeout (50 ms) fires while D is
+  // open: it must not retransmit D.
+  CallCounts c, d;
+  const auto [stale_retries, stale_duplicates] =
+      scenario(0.030, c, d, 31 * kMillisecond);
+  EXPECT_EQ(stale_retries, 0u);
+  EXPECT_EQ(stale_duplicates, 0u);
+  // Late duplicate. Data takes 60 ms, longer than the timeout. A (0 -> 1)
+  // times out at 50 ms and retransmits at 51 ms; its first copy lands at
+  // 60 ms and A is acked at 60.5 ms. B (0 -> 2) takes the slot at 62 ms.
+  // A's second copy lands at 111 ms as a duplicate while B is open: it
+  // must not ack B, or B's own copy (122 ms) would find the call closed
+  // and B would never run. B retransmits once too (timeout at 112 ms).
+  CallCounts a, b;
+  const auto [late_retries, late_duplicates] =
+      scenario(0.060, a, b, 62 * kMillisecond);
+  EXPECT_EQ(late_retries, 2u);
+  EXPECT_EQ(late_duplicates, 2u);
   for (const CallCounts* counts : {&c, &d, &a, &b}) {
     EXPECT_EQ(counts->delivered, 1);
     EXPECT_EQ(counts->failed, 0);
   }
-  EXPECT_EQ(rpc.calls(), 4u);
-  EXPECT_EQ(rpc.retries(), 1u);     // A's retransmit alone
-  EXPECT_EQ(rpc.duplicates(), 1u);  // A's first copy
-  EXPECT_EQ(rpc.failures(), 0u);
-  EXPECT_EQ(rpc.open_calls(), 0u);
 }
 
 // --- Stale views ---
