@@ -254,6 +254,9 @@ std::string validate(const ChaosSchedule& s) {
     return "unknown flip_profile '" + s.flip_profile + "'";
   if (s.autoscale && s.fault)
     return "autoscale and the fault layer are mutually exclusive";
+  if (s.retarget_masters && s.fault)
+    return "retarget_masters and fault are mutually exclusive (failover "
+           "owns the roles)";
   if (!s.partitions.empty() && (!s.net || !s.fault))
     return "partitions require the net model and the fault layer";
   if (!s.crashes.empty() && !s.fault) return "crashes require the fault layer";

@@ -180,7 +180,7 @@ class ClusterRun {
     if (faults_on_) {
       result_.availability = injector_->availability(end);
       result_.node_crashes = injector_->crashes();
-      result_.promotions = membership_->promotions();
+      result_.promotions = membership_.promotions();
       result_.degrade_events = injector_->degrade_events();
       result_.degraded_node_s = to_seconds(injector_->degraded_until(end));
     }
@@ -404,19 +404,12 @@ class ClusterRun {
 
   void setup_fault() {
     if (!faults_on_) return;
-    membership_.emplace(config_.p, config_.m);
     const Time heartbeat = config_.fault.heartbeat_period > 0
                                ? config_.fault.heartbeat_period
                                : config_.load_sample_period;
     injector_.emplace(engine_, node_ptrs_, config_.fault, config_.m,
                       config_.seed);
     injector_->set_trace(tracer_);
-    // Fail-slow episodes with a network face ride the net model's per-node
-    // degradation (extra loss, latency factor); inert without src/net/.
-    if (net_on_)
-      injector_->set_on_net_degrade([this](int node, double loss, double f) {
-        network_->set_node_degradation(node, loss, f);
-      });
     // One heartbeat detector. Over the net model the front end hears nodes
     // through the lossy, partitionable wire and the node rows feed the
     // quorum gate; without it every live node is heard and there is no
@@ -437,9 +430,9 @@ class ClusterRun {
           on_health(node, from, to);
         });
     if (!net_on_) return;
-    membership_->set_promotion_gate(
+    membership_.set_promotion_gate(
         [this](int dead) { return promotion_allowed(dead); });
-    membership_->set_promotion_filter(
+    membership_.set_promotion_filter(
         [this](int node) { return network_->front_end_reaches(node); });
     detector_->set_on_round([this] { retry_promotions(); });
   }
@@ -449,11 +442,10 @@ class ClusterRun {
     if (config_.use_dispatch_feedback) view_.feedback = &feedback_;
     if (!config_.node_params.empty()) view_.node_params = &config_.node_params;
     view_.p = config_.p;
-    view_.m = config_.m;
     view_.reservation = &reservation_;
     view_.rng = &dispatch_rng_;
     view_.blocked = &blocked_;
-    if (faults_on_) view_.membership = &*membership_;
+    view_.membership = &membership_;
     if (net_on_) {
       view_.network = &*network_;
       view_.stale = &*stale_view_;
@@ -1090,8 +1082,8 @@ class ClusterRun {
       // A dead node's latency history describes a machine that no longer
       // exists; the watchdog forgets it.
       if (slow_on_) slow_health_->on_node_down(node);
-      const bool was_master = membership_->is_master(node);
-      const int promoted = membership_->mark_dead(node);
+      const bool was_master = membership_.is_master(node);
+      const int promoted = membership_.mark_dead(node);
       if (promoted >= 0) {
         note_promotion(promoted, node);
       } else if (net_on_ && was_master) {
@@ -1100,18 +1092,18 @@ class ClusterRun {
         pending_promotions_.push_back(node);
       }
     } else if (to == fault::NodeHealth::kHealthy) {
-      membership_->mark_alive(node);
+      membership_.mark_alive(node);
       if (net_on_) {
         pending_promotions_.erase(std::remove(pending_promotions_.begin(),
                                               pending_promotions_.end(), node),
                                   pending_promotions_.end());
-        detector_->set_claim(node, membership_->is_master(node));
+        detector_->set_claim(node, membership_.is_master(node));
       }
     } else {
       return;  // suspected: candidate pools shrink, roles unchanged
     }
-    reservation_.set_membership(membership_->effective_p(),
-                                membership_->effective_m());
+    reservation_.set_membership(membership_.effective_p(),
+                                membership_.effective_m());
   }
 
   void on_slow_health(int node, fault::NodeHealth from,
@@ -1156,16 +1148,16 @@ class ClusterRun {
   void retry_promotions() {
     for (std::size_t i = 0; i < pending_promotions_.size();) {
       const int dead = pending_promotions_[i];
-      const int promoted = membership_->retry_promotion(dead);
+      const int promoted = membership_.retry_promotion(dead);
       if (promoted >= 0) {
         note_promotion(promoted, dead);
-        reservation_.set_membership(membership_->effective_p(),
-                                    membership_->effective_m());
+        reservation_.set_membership(membership_.effective_p(),
+                                    membership_.effective_m());
       }
       // Drop the entry once resolved: the role moved, or the node came back
       // (retry_promotion returns -1 for both and the kHealthy transition
       // also erases revived nodes).
-      if (promoted >= 0 || !membership_->is_master(dead) ||
+      if (promoted >= 0 || !membership_.is_master(dead) ||
           node_ptrs_[static_cast<std::size_t>(dead)]->alive()) {
         pending_promotions_.erase(pending_promotions_.begin() +
                                   static_cast<std::ptrdiff_t>(i));
@@ -1202,7 +1194,7 @@ class ClusterRun {
   void report_tick() {
     const Time origin = monitor_.last_sample_time();
     const std::vector<int>* masters_now =
-        faults_on_ ? &membership_->masters() : nullptr;
+        faults_on_ ? &membership_.masters() : nullptr;
     const std::size_t receiver_count =
         masters_now != nullptr ? masters_now->size()
                                : static_cast<std::size_t>(config_.m);
@@ -1290,7 +1282,7 @@ class ClusterRun {
       cluster_probe.ctrl_r_hat = estimator_->r_hat();
       cluster_probe.ctrl_theta_target = reservation_.theta_limit();
       cluster_probe.ctrl_powered = static_cast<double>(powered_count_);
-      cluster_probe.ctrl_m = static_cast<double>(view_.m);
+      cluster_probe.ctrl_m = static_cast<double>(masters_);
     }
     probes_->sample(now, node_probes_, cluster_probe);
     if (remaining_ > 0) after<&ClusterRun::probe_tick>(probes_->interval());
@@ -1305,7 +1297,7 @@ class ClusterRun {
     ctrl::Telemetry telemetry;
     telemetry.now = now;
     telemetry.powered = powered_count_;
-    telemetry.masters = view_.m;
+    telemetry.masters = masters_;
     telemetry.a_hat = reservation_.a_hat_live();
     const LoadVec& seen = net_on_ ? stale_view_->seen_by(0) : monitor_.all();
     telemetry.busy.reserve(static_cast<std::size_t>(powered_count_));
@@ -1334,20 +1326,21 @@ class ClusterRun {
     else if (actions.scale == ctrl::ScaleAction::kDown)
       membership_dirty = scale_down(now);
 
-    if (actions.masters_target != view_.m) {
-      view_.m = actions.masters_target;
+    if (actions.masters_target != masters_) {
+      masters_ = actions.masters_target;
+      membership_.set_master_count(masters_);
       ++result_.ctrl_retargets;
       membership_dirty = true;
       if (tracer_ != nullptr)
         tracer_->instant(obs::Category::kCtrl, "retarget", cluster_pid_,
-                         obs::kLaneCtrl, now, {{"m", view_.m}});
+                         obs::kLaneCtrl, now, {{"m", masters_}});
       obs::logf(obs::LogLevel::kInfo, "ctrl", "t=%.3fs retarget: m -> %d",
-                to_seconds(now), view_.m);
+                to_seconds(now), masters_);
     }
     if (membership_dirty)
       // Theorem 1 re-solves immediately on a cluster-shape change (the
       // cluster changed, not the estimate) — same rule as failover.
-      reservation_.set_membership(powered_count_, view_.m);
+      reservation_.set_membership(powered_count_, masters_);
 
     if (remaining_ > 0)
       after<&ClusterRun::ctrl_tick>(from_seconds(config_.ctrl.interval_s));
@@ -1379,7 +1372,7 @@ class ClusterRun {
   /// configured floor. Drained jobs migrate over the remote-dispatch hop,
   /// never lost.
   bool scale_down(Time now) {
-    if (powered_count_ - 1 < view_.m ||
+    if (powered_count_ - 1 < masters_ ||
         powered_count_ - 1 < config_.ctrl.min_powered)
       return false;
     const int victim = powered_count_ - 1;
@@ -1489,6 +1482,9 @@ class ClusterRun {
   std::optional<ctrl::ParamEstimator> estimator_;
   std::optional<ctrl::ControlLoop> ctrl_loop_;
   int powered_count_ = config_.p;
+  /// The master count the control plane steers; a retarget moves it and
+  /// the membership's static split with it (refused under failover).
+  int masters_ = config_.m;
   /// result_.energy_node_s sums closed powered windows; the open one
   /// starts at energy_mark_.
   Time energy_mark_ = 0;
@@ -1505,7 +1501,9 @@ class ClusterRun {
   Time slow_period_ = 0;
 
   // Fault injection and failover.
-  std::optional<fault::Membership> membership_;
+  /// Roles, in every run: the static split without the fault layer,
+  /// failover promotions with it.
+  fault::Membership membership_{config_.p, config_.m, faults_on_};
   /// Heartbeat failure detector, with or without the net model.
   std::optional<net::NetHealth> detector_;
   std::optional<fault::FaultInjector> injector_;
@@ -1563,6 +1561,11 @@ ClusterSim::ClusterSim(ClusterConfig config,
           "cluster: autoscaling and the fault layer are mutually "
           "exclusive (the health monitor would declare drained nodes dead "
           "and the injector would recover them behind the scaler's back)");
+    if (config_.ctrl.retarget_masters && config_.fault.enabled)
+      throw std::invalid_argument(
+          "cluster: ctrl.retarget_masters and fault.enabled are mutually "
+          "exclusive (under the fault layer, roles follow failover "
+          "promotions, not the control plane)");
     if (config_.ctrl.autoscale && config_.ctrl.min_powered < 1)
       throw std::invalid_argument("cluster: ctrl min_powered must be >= 1");
   }

@@ -14,7 +14,12 @@
 //   M/S'    — static spread over all p nodes; dynamic pinned to k fixed
 //             nodes (the analytic alternative of §3, also runnable here).
 //
-// Convention: nodes [0, m) are masters, [m, p) are slaves.
+// Each policy has one route, over the view's fault::Membership: masters
+// are whatever nodes hold the role, and a node takes work only while the
+// view says it may. With the fault layer off the membership is the static
+// split, nodes [0, m) masters and [m, p) slaves; with it on, roles follow
+// failover promotions. While every node may take work the pools are used
+// unfiltered, which keeps the receiver draw O(1).
 #pragma once
 
 #include <cstdint>
@@ -83,12 +88,12 @@ struct ClusterView {
   /// homogeneous cluster.
   const std::vector<sim::NodeParams>* node_params = nullptr;
   int p = 0;
-  int m = 0;
   ReservationController* reservation = nullptr;  ///< may be null
   Rng* rng = nullptr;
-  /// Failover layer (null when fault injection is off — policies then use
-  /// the static "nodes [0, m) are masters" convention). `membership`
-  /// carries roles under churn (promotions included).
+  /// Roles: which nodes are masters and which are available. Never null
+  /// when a policy routes. Without failover it is the static split, its
+  /// master count following a control-plane retarget; with the fault
+  /// layer on, roles follow promotions under churn.
   const fault::Membership* membership = nullptr;
   /// Per-node block mask, the kBlock* reason bits above; a node with any
   /// bit set takes no work. Each layer sets its bit where it hears the
@@ -161,8 +166,6 @@ struct ClusterView {
     return *load;
   }
 
-  bool fault_aware() const { return membership != nullptr; }
-
   /// Whether `node` is reachable from `src` (-1 = the dispatch front
   /// end). Always true without the net model or outside a partition.
   bool reachable_from(int src, int node) const {
@@ -180,12 +183,13 @@ struct ClusterView {
     return breakers == nullptr || breakers->admits(node, now);
   }
 
-  /// Whether node_healthy holds for every node of [0, count) without
-  /// asking each: no block-mask bit set, no breakers, and the hedge
-  /// exclusion outside the range.
-  bool all_admit(int count) const {
+  /// Whether every node may take work and is reachable, without asking
+  /// each: no block-mask bit set, no breakers, no hedge exclusion and no
+  /// active partition. Policies then take their pools unfiltered.
+  bool all_admit() const {
     return (blocked == nullptr || blocked->blocked_count() == 0) &&
-           breakers == nullptr && (exclude_node < 0 || exclude_node >= count);
+           breakers == nullptr && exclude_node < 0 &&
+           (network == nullptr || !network->partition_active());
   }
 };
 
@@ -223,7 +227,7 @@ struct MsOptions {
   /// instead of the tapered admission (exhibits pulsed herding).
   bool binary_admission = false;
   /// Heterogeneous extension: weight RSRC by per-node CPU/disk speeds when
-  /// the cluster provides them (rsrc_cost_heterogeneous).
+  /// the cluster provides them (rsrc_cost's speed factors).
   bool speed_aware = false;
   /// Frozen cluster-wide w (>= 0 enables): RSRC uses this instead of the
   /// per-request sampled value — the "offline-sampled once, never
@@ -234,7 +238,8 @@ struct MsOptions {
 
 std::unique_ptr<Dispatcher> make_flat();
 std::unique_ptr<Dispatcher> make_ms(MsOptions options = {});
-/// M/S' with k dedicated dynamic nodes (nodes [0, k)).
+/// M/S' with k dedicated dynamic nodes (nodes [0, k)). With every
+/// dedicated node gated, dynamic work goes to any node that may take it.
 std::unique_ptr<Dispatcher> make_msprime(int k);
 
 /// The named variants used by the experiments.

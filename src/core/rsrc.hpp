@@ -17,14 +17,27 @@
 
 namespace wsched::core {
 
-/// Equation 5. Ratios must be in (0, 1]; LoadMonitor guarantees a floor.
-double rsrc_cost(double w, const LoadInfo& load);
+/// Equation 5, each availability multiplied by the node's relative
+/// CPU/disk speed for heterogeneous clusters (the paper's [36] extension:
+/// faster nodes look cheaper). Speeds of 1.0 give Equation 5 bit for bit,
+/// since x * 1.0 == x. Ratios must be in (0, 1]; LoadMonitor guarantees a
+/// floor. Every RSRC cost the dispatcher computes is this expression.
+inline double rsrc_cost(double w, const LoadInfo& load,
+                        double cpu_speed = 1.0, double disk_speed = 1.0) {
+  return w / (load.cpu_idle_ratio * cpu_speed) +
+         (1.0 - w) / (load.disk_avail_ratio * disk_speed);
+}
 
-/// For heterogeneous clusters (the paper's [36] extension): divides each
-/// availability by the node's relative CPU/disk speed so faster nodes look
-/// cheaper. speeds of 1.0 reduce to Equation 5.
-double rsrc_cost_heterogeneous(double w, const LoadInfo& load,
-                               double cpu_speed, double disk_speed);
+/// rsrc_cost of candidate `node`, speed-weighted when `speeds` is
+/// non-null.
+inline double rsrc_cost(double w, const LoadVec& load, int node,
+                        const std::vector<sim::NodeParams>* speeds) {
+  const auto i = static_cast<std::size_t>(node);
+  return speeds == nullptr
+             ? rsrc_cost(w, load[i])
+             : rsrc_cost(w, load[i], (*speeds)[i].cpu_speed,
+                         (*speeds)[i].disk_speed);
+}
 
 /// Returns the index *into `candidates`* of the min-RSRC node.
 ///

@@ -29,9 +29,6 @@ FaultInjector::FaultInjector(sim::Engine& engine,
     throw std::invalid_argument("fault: degrade factors must be > 0");
   if (config_.stall_period_s < 0.0 || config_.stall_len_s < 0.0)
     throw std::invalid_argument("fault: stall timings must be >= 0");
-  if (config_.degrade_net_loss < 0.0 || config_.degrade_net_loss >= 1.0 ||
-      config_.degrade_net_latency_factor <= 0.0)
-    throw std::invalid_argument("fault: bad net degradation knobs");
   // Stream ids keyed by node id: adding consumers elsewhere never
   // perturbs fault times, and vice versa. Fail-slow churn owns a second
   // per-node family so crash times are independent of degrade times.
@@ -167,10 +164,6 @@ void FaultInjector::begin_degrade(int node, Time heal_after) {
             "t=%.3fs node %d fail-slow episode (cpu x%.2f, disk x%.2f)",
             to_seconds(engine_.now()), node, config_.degrade_cpu_factor,
             config_.degrade_disk_factor);
-  if (on_net_degrade_ && (config_.degrade_net_loss > 0.0 ||
-                          config_.degrade_net_latency_factor != 1.0))
-    on_net_degrade_(node, config_.degrade_net_loss,
-                    config_.degrade_net_latency_factor);
   if (config_.stall_period_s > 0.0) schedule_stall(node, episode);
   engine_.schedule_after(heal_after, [this, node, episode] {
     end_degrade(node, episode);
@@ -192,9 +185,6 @@ void FaultInjector::end_degrade(int node, std::uint64_t episode) {
   obs::logf(obs::LogLevel::kInfo, "fault",
             "t=%.3fs node %d fail-slow episode healed",
             to_seconds(engine_.now()), node);
-  if (on_net_degrade_ && (config_.degrade_net_loss > 0.0 ||
-                          config_.degrade_net_latency_factor != 1.0))
-    on_net_degrade_(node, 0.0, 1.0);
   schedule_next_degrade(node);
 }
 

@@ -101,12 +101,6 @@ struct FaultConfig {
   double stall_period_s = 0.0;
   double stall_len_s = 0.02;
   double stall_factor = 0.02;
-
-  /// Network-facing degradation riding src/net/ while an episode is open:
-  /// extra per-message loss on the node's links and a multiplicative
-  /// latency factor. Inert unless the net model is enabled.
-  double degrade_net_loss = 0.0;
-  double degrade_net_latency_factor = 1.0;
 };
 
 class FaultInjector {
@@ -121,17 +115,8 @@ class FaultInjector {
                 const FaultConfig& config, int initial_masters,
                 std::uint64_t seed);
 
-  /// Fires when a fail-slow episode opens (loss/factor = the degraded
-  /// values) and again when it heals (0.0 / 1.0); the cluster forwards it
-  /// to the net layer. Never fires unless degrade churn is configured.
-  using NetDegradeFn =
-      std::function<void(int node, double extra_loss, double latency_factor)>;
-
   void set_on_crash(CrashFn fn) { on_crash_ = std::move(fn); }
   void set_on_recover(RecoverFn fn) { on_recover_ = std::move(fn); }
-  void set_on_net_degrade(NetDegradeFn fn) {
-    on_net_degrade_ = std::move(fn);
-  }
 
   /// Attaches an event tracer (null = off); fault instants land on the
   /// affected node's fault lane.
@@ -189,7 +174,6 @@ class FaultInjector {
   std::uint64_t crashes_ = 0;
   CrashFn on_crash_;
   RecoverFn on_recover_;
-  NetDegradeFn on_net_degrade_;
   obs::TraceSink* trace_ = nullptr;
 };
 

@@ -4,13 +4,23 @@
 
 namespace wsched::fault {
 
-Membership::Membership(int p, int m) {
+Membership::Membership(int p, int m, bool failover) : failover_(failover) {
   if (p < 1) throw std::invalid_argument("membership: p must be >= 1");
   if (m < 1 || m > p)
     throw std::invalid_argument("membership: need 1 <= m <= p");
   master_.assign(static_cast<std::size_t>(p), false);
   alive_.assign(static_cast<std::size_t>(p), true);
   for (int i = 0; i < m; ++i) master_[static_cast<std::size_t>(i)] = true;
+  rebuild();
+}
+
+void Membership::set_master_count(int m) {
+  if (failover_)
+    throw std::logic_error("membership: failover owns the roles");
+  if (m < 1 || m > p())
+    throw std::invalid_argument("membership: need 1 <= m <= p");
+  for (int i = 0; i < p(); ++i)
+    master_[static_cast<std::size_t>(i)] = i < m;
   rebuild();
 }
 

@@ -13,6 +13,10 @@
 // Role changes are driven by *declared* state (the heartbeat detector's dead /
 // recovered transitions), not by the actual crash instant — detection
 // latency is part of the model.
+//
+// Every cluster run has one. With the fault layer off it is built without
+// failover: nobody is declared dead, the roles stay the static split, and
+// only a control-plane retarget moves the master count.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +28,12 @@ namespace wsched::fault {
 class Membership {
  public:
   /// Nodes [0, m) start as masters, the rest as slaves; all start alive.
-  Membership(int p, int m);
+  /// `failover` says whether roles follow the promotion rule (the fault
+  /// layer is on) or stay the static split a retarget may resize.
+  Membership(int p, int m, bool failover = true);
 
   int p() const { return static_cast<int>(master_.size()); }
+  bool failover() const { return failover_; }
   /// Healthy node / healthy master counts — the *effective* (p, m) that
   /// the reservation controller should size theta'_2 from.
   int effective_p() const { return static_cast<int>(available_.size()); }
@@ -40,9 +47,8 @@ class Membership {
   }
 
   /// Healthy masters / healthy slaves / all healthy nodes, ascending by id.
-  /// With every node healthy these are [0, m), [m, p) and [0, p) — exactly
-  /// the static convention, so fault-aware dispatch degenerates to the
-  /// fault-free code path.
+  /// With every node healthy these are [0, m), [m, p) and [0, p): the
+  /// static convention, which is all a membership without failover holds.
   const std::vector<int>& masters() const { return masters_; }
   const std::vector<int>& slaves() const { return slaves_; }
   const std::vector<int>& available() const { return available_; }
@@ -78,6 +84,11 @@ class Membership {
   /// slave exists.
   int retry_promotion(int node);
 
+  /// Resets the roles to the static split with `m` masters: nodes [0, m).
+  /// Only without failover, where no node is ever declared dead; under
+  /// failover the promotion rule owns the roles and this throws.
+  void set_master_count(int m);
+
   std::uint64_t promotions() const { return promotions_; }
 
  private:
@@ -86,6 +97,7 @@ class Membership {
   /// lowest-id eligible healthy slave; -1 when none exists.
   int promote_replacement(int node);
 
+  bool failover_;
   std::function<bool(int)> promotion_gate_;
   std::function<bool(int)> promotion_filter_;
   std::vector<bool> master_;

@@ -119,15 +119,10 @@ BenchCli::BenchCli(int argc, const char* const* argv)
       args.get_double("gray-stall-period", gray.stall_period_s);
   gray.stall_len_s = args.get_double("gray-stall-len", gray.stall_len_s);
   gray.stall_factor = args.get_double("gray-stall-factor", gray.stall_factor);
-  gray.degrade_net_loss =
-      args.get_double("gray-net-loss", gray.degrade_net_loss);
-  gray.degrade_net_latency_factor =
-      args.get_double("gray-net-latency", gray.degrade_net_latency_factor);
   gray.enabled = args.has("gray-mttf") || args.has("gray-mttr") ||
                  args.has("gray-cpu") || args.has("gray-disk") ||
                  args.has("gray-stall-period") || args.has("gray-stall-len") ||
-                 args.has("gray-stall-factor") || args.has("gray-net-loss") ||
-                 args.has("gray-net-latency");
+                 args.has("gray-stall-factor");
   slow_health.alpha = args.get_double("slow-health-alpha", slow_health.alpha);
   slow_health.degrade_ratio =
       args.get_double("slow-health-degrade", slow_health.degrade_ratio);
@@ -234,9 +229,6 @@ std::optional<SweepRun> run_bench(const SweepSpec& spec, const BenchCli& cli,
         fault.stall_period_s = cli.gray.stall_period_s;
         fault.stall_len_s = cli.gray.stall_len_s;
         fault.stall_factor = cli.gray.stall_factor;
-        fault.degrade_net_loss = cli.gray.degrade_net_loss;
-        fault.degrade_net_latency_factor =
-            cli.gray.degrade_net_latency_factor;
       }
       if (cli.slow_health.enabled) traced.spec.slow_health = cli.slow_health;
       if (cli.hedge.enabled) traced.spec.hedge = cli.hedge;

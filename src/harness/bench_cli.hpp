@@ -87,9 +87,6 @@
 //   --gray-stall-period S  mean gap between stall bursts inside an episode
 //   --gray-stall-len S     stall burst length
 //   --gray-stall-factor F  speed factor during a stall
-//   --gray-net-loss P      extra per-message loss while limping (needs a
-//                          --net-* flag to matter)
-//   --gray-net-latency F   latency multiplier while limping
 //
 // Slow-health knobs (any one present arms the latency watchdog):
 //

@@ -107,9 +107,7 @@ Network::Network(sim::Engine& engine, const NetworkParams& params, int nodes,
       nodes_(nodes),
       latency_rng_(seed, kLatencyStream),
       loss_rng_(seed, kLossStream),
-      group_(static_cast<std::size_t>(nodes), 0),
-      extra_loss_(static_cast<std::size_t>(nodes), 0.0),
-      latency_factor_(static_cast<std::size_t>(nodes), 1.0) {
+      group_(static_cast<std::size_t>(nodes), 0) {
   if (nodes_ <= 0) throw std::invalid_argument("network: need nodes > 0");
   if (params_.loss < 0.0 || params_.loss >= 1.0)
     throw std::invalid_argument("network: loss must be in [0, 1)");
@@ -163,30 +161,7 @@ Time Network::sample_latency(MsgKind kind, int src, int dst) {
   if (jitter_s > 0.0) latency_s += latency_rng_.exponential(jitter_s);
   if (params_.reorder > 0.0 && latency_rng_.bernoulli(params_.reorder))
     latency_s += latency_rng_.uniform() * params_.reorder_extra_s;
-  if (degraded_count_ > 0)
-    latency_s *= node_latency_factor(src) * node_latency_factor(dst);
   return from_seconds(latency_s);
-}
-
-void Network::set_node_degradation(int node, double extra_loss,
-                                   double latency_factor) {
-  if (node < 0 || node >= nodes_)
-    throw std::invalid_argument("network: degradation node out of range");
-  if (extra_loss < 0.0 || extra_loss >= 1.0 || latency_factor <= 0.0)
-    throw std::invalid_argument("network: bad degradation values");
-  const auto idx = static_cast<std::size_t>(node);
-  const bool was = extra_loss_[idx] > 0.0 || latency_factor_[idx] != 1.0;
-  const bool now = extra_loss > 0.0 || latency_factor != 1.0;
-  extra_loss_[idx] = extra_loss;
-  latency_factor_[idx] = latency_factor;
-  degraded_count_ += static_cast<int>(now) - static_cast<int>(was);
-  if (hooks_.trace != nullptr)
-    hooks_.trace->instant(obs::Category::kNet,
-                          now ? "net-degrade" : "net-heal",
-                          hooks_.cluster_pid, obs::kLaneNet, engine_.now(),
-                          {{"node", node},
-                           {"extra_loss", extra_loss},
-                           {"latency_factor", latency_factor}});
 }
 
 bool Network::send(int src, int dst, MsgKind kind, void (*deliver)(void*),
@@ -196,16 +171,7 @@ bool Network::send(int src, int dst, MsgKind kind, void (*deliver)(void*),
     ++partition_drops_;
     return false;
   }
-  // With no degraded node the base probability is used untouched, keeping
-  // the loss stream byte-identical to the pre-hook transport.
-  double loss_p = params_.loss;
-  if (degraded_count_ > 0) {
-    const double a = node_extra_loss(src);
-    const double b = node_extra_loss(dst);
-    if (a > 0.0) loss_p = 1.0 - (1.0 - loss_p) * (1.0 - a);
-    if (b > 0.0) loss_p = 1.0 - (1.0 - loss_p) * (1.0 - b);
-  }
-  if (loss_p > 0.0 && loss_rng_.bernoulli(loss_p)) {
+  if (params_.loss > 0.0 && loss_rng_.bernoulli(params_.loss)) {
     ++lost_;
     if (hooks_.trace != nullptr)
       hooks_.trace->instant(obs::Category::kNet, "drop", hooks_.cluster_pid,

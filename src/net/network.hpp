@@ -144,16 +144,6 @@ class Network {
   /// Sampled one-way latency for one message (consumes jitter draws).
   Time sample_latency(MsgKind kind, int src, int dst);
 
-  /// Per-node fail-slow degradation (driven by fault::FaultInjector):
-  /// messages touching `node` suffer `extra_loss` additional drop
-  /// probability (combined independently with the base loss) and have
-  /// their latency scaled by `latency_factor`. (0.0, 1.0) restores the
-  /// node. While no node is degraded the send path is byte-identical to
-  /// a build without this hook — the base loss probability is used as-is
-  /// and no extra arithmetic touches the RNG stream.
-  void set_node_degradation(int node, double extra_loss,
-                            double latency_factor);
-
   /// Same partition group (always true with no active partition).
   bool reachable(int a, int b) const {
     return !partition_active_ || group_[static_cast<std::size_t>(a)] ==
@@ -179,16 +169,6 @@ class Network {
   void heal_partition();
   /// Deterministic per-link latency multiplier in [1 - spread, 1 + spread].
   double link_factor(int src, int dst) const;
-  double node_extra_loss(int node) const {
-    return node >= 0 && node < nodes_
-               ? extra_loss_[static_cast<std::size_t>(node)]
-               : 0.0;
-  }
-  double node_latency_factor(int node) const {
-    return node >= 0 && node < nodes_
-               ? latency_factor_[static_cast<std::size_t>(node)]
-               : 1.0;
-  }
 
   sim::Engine& engine_;
   NetworkParams params_;
@@ -200,11 +180,6 @@ class Network {
   bool partition_active_ = false;
   int front_group_ = 0;
   std::vector<int> group_;
-  /// Per-node fail-slow state; `degraded_count_ == 0` short-circuits the
-  /// send path so an idle hook costs one integer compare.
-  std::vector<double> extra_loss_;
-  std::vector<double> latency_factor_;
-  int degraded_count_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t lost_ = 0;
   std::uint64_t partition_drops_ = 0;

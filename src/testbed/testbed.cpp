@@ -15,6 +15,7 @@
 
 #include "core/load.hpp"
 #include "core/reservation.hpp"
+#include "fault/membership.hpp"
 #include "obs/log.hpp"
 #include "testbed/calibrate.hpp"
 #include "util/rng.hpp"
@@ -413,11 +414,13 @@ TestbedResult run_testbed(const TestbedConfig& config,
   {
     auto dispatcher = core::make_dispatcher(kind, std::max(1, config.m));
     Rng rng(config.seed, 0x7e57);
+    const fault::Membership membership(config.p, config.m,
+                                       /*failover=*/false);
     core::ClusterView view;
     view.load = &shared.load;
     view.feedback = shared.feedback.get();
     view.p = config.p;
-    view.m = config.m;
+    view.membership = &membership;
     view.reservation = shared.reservation.get();
     view.rng = &rng;
 

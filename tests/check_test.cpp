@@ -161,6 +161,14 @@ TEST(Schedule, ValidateCatchesIllegalCompositions) {
   s.fault = true;
   EXPECT_NE(validate(s), "");
 
+  ChaosSchedule retarget;
+  retarget.retarget_masters = true;
+  retarget.ctrl = true;
+  retarget.fault = true;
+  const std::string refused = validate(retarget);
+  EXPECT_NE(refused.find("retarget_masters"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("fault"), std::string::npos) << refused;
+
   ChaosSchedule part;
   part.partitions.push_back({1.0, 2.0, 2});
   EXPECT_NE(validate(part), "");  // partitions need net + fault

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "core/reservation.hpp"
@@ -274,6 +275,23 @@ TEST(ClusterCtrl, AutoscaleAndFaultLayerAreMutuallyExclusive) {
   spec.ctrl.enabled = true;
   spec.ctrl.autoscale = true;
   EXPECT_THROW(core::run_experiment(spec), std::invalid_argument);
+}
+
+TEST(ClusterCtrl, MasterRetargetAndFaultLayerAreMutuallyExclusive) {
+  // Under the fault layer the failover promotion rule owns the roles; a
+  // control-plane retarget would resize theta'_2 behind its back.
+  core::ExperimentSpec spec = ctrl_spec();
+  spec.fault.enabled = true;
+  spec.ctrl.enabled = true;
+  spec.ctrl.retarget_masters = true;
+  try {
+    core::run_experiment(spec);
+    FAIL() << "retarget with the fault layer on must be refused";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("retarget_masters"), std::string::npos) << what;
+    EXPECT_NE(what.find("fault.enabled"), std::string::npos) << what;
+  }
 }
 
 // --- Flip / diurnal trace machinery the drills depend on ---

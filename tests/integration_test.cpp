@@ -101,9 +101,11 @@ TEST(PerReceiverFeedback, DebitsAreLocalToTheReceiver) {
 
 TEST(PerReceiverFeedback, ViewFallsBackWithoutFeedbacks) {
   core::LoadVec load(2, core::LoadInfo{0.7, 0.6});
+  const fault::Membership membership(2, 1, /*failover=*/false);
   core::ClusterView view;
   view.load = &load;
   view.p = 2;
+  view.membership = &membership;
   EXPECT_DOUBLE_EQ(view.load_seen_by(0)[0].cpu_idle_ratio, 0.7);
 
   core::DispatchFeedback feedback(2, 2, kSecond, 0.1);
