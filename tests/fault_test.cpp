@@ -69,6 +69,27 @@ TEST(Membership, NoPromotableSlaveShrinksMasterPool) {
   EXPECT_EQ(mem.effective_m(), 2);
 }
 
+TEST(Membership, RetargetResizesOnlyTheStaticSplit) {
+  // Without failover a retarget moves the master count and keeps the
+  // static split; under failover the promotion rule owns the roles.
+  fault::Membership fixed(6, 2, /*failover=*/false);
+  EXPECT_FALSE(fixed.failover());
+  fixed.set_master_count(3);
+  EXPECT_EQ(fixed.masters(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(fixed.slaves(), (std::vector<int>{3, 4, 5}));
+  EXPECT_EQ(fixed.effective_m(), 3);
+  fixed.set_master_count(1);
+  EXPECT_EQ(fixed.masters(), (std::vector<int>{0}));
+  EXPECT_EQ(fixed.available().size(), 6u);
+  EXPECT_THROW(fixed.set_master_count(0), std::invalid_argument);
+  EXPECT_THROW(fixed.set_master_count(7), std::invalid_argument);
+
+  fault::Membership failover(6, 2);
+  EXPECT_TRUE(failover.failover());
+  EXPECT_THROW(failover.set_master_count(3), std::logic_error);
+  EXPECT_EQ(failover.masters(), (std::vector<int>{0, 1}));
+}
+
 // --- Reservation re-sizing from effective (p, m) ---
 
 TEST(Reservation, MembershipChangeRecomputesTheta) {
