@@ -257,6 +257,9 @@ std::string validate(const ChaosSchedule& s) {
   if (s.retarget_masters && s.fault)
     return "retarget_masters and fault are mutually exclusive (failover "
            "owns the roles)";
+  if (s.retarget_masters && !s.autoscale)
+    return "retarget_masters requires autoscale (the control loop retargets "
+           "only alongside its power actions)";
   if (!s.partitions.empty() && (!s.net || !s.fault))
     return "partitions require the net model and the fault layer";
   if (!s.crashes.empty() && !s.fault) return "crashes require the fault layer";

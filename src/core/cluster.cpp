@@ -1566,6 +1566,10 @@ ClusterSim::ClusterSim(ClusterConfig config,
           "cluster: ctrl.retarget_masters and fault.enabled are mutually "
           "exclusive (under the fault layer, roles follow failover "
           "promotions, not the control plane)");
+    if (config_.ctrl.retarget_masters && !config_.ctrl.autoscale)
+      throw std::invalid_argument(
+          "cluster: ctrl.retarget_masters requires ctrl.autoscale (the "
+          "control loop retargets only alongside its power actions)");
     if (config_.ctrl.autoscale && config_.ctrl.min_powered < 1)
       throw std::invalid_argument("cluster: ctrl min_powered must be >= 1");
   }

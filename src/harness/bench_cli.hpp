@@ -74,7 +74,8 @@
 //   --ctrl-dwell S       minimum seconds between scaling actions
 //   --ctrl-min-nodes N   floor on powered nodes
 //   --ctrl-masters       continuous master-count retargeting (Theorem 1 on
-//                        the estimated workload)
+//                        the estimated workload); needs --ctrl-autoscale,
+//                        a run with it alone is refused
 //
 // Gray-failure knobs (any --gray-* flag enables the fault layer and merges
 // fail-slow churn into every evaluated point's FaultConfig; scripted
