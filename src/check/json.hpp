@@ -1,13 +1,14 @@
-// Minimal JSON reader for chaos-schedule files (see check/schedule.hpp).
+// The one JSON reader in the repo: chaos-schedule files (check/schedule.hpp)
+// and the artifact checker (check/artifacts.hpp) both parse with it.
 //
-// The repo writes JSON in several places (artifacts, traces, exemplars) but
-// until now never read it back; replayable schedules need a parser. This is
-// a small strict recursive-descent reader over the JSON subset the schedule
-// files use — objects, arrays, strings, numbers, booleans, null — with no
-// dependency beyond the standard library. Malformed input throws
-// std::invalid_argument with a byte offset; numbers are parsed as double
-// (every schedule field is a double, an integer that fits one exactly, or a
-// string), which is lossless for the 2^53 range the schedules live in.
+// A small strict recursive-descent reader over RFC 8259 JSON — objects,
+// arrays, strings, numbers, booleans, null — with no dependency beyond the
+// standard library. Malformed input (a raw control byte in a string, a
+// number such as +1, 01, 1. or .5, nesting past 64 levels) throws
+// std::invalid_argument naming the byte offset. Numbers are parsed as
+// double, which is lossless for the 2^53 range schedules and artifacts
+// live in; `integral` marks a number written as an integer literal within
+// (-2^53, 2^53), so a checker can tell 5 from 5.0 and add integers exactly.
 #pragma once
 
 #include <string>
@@ -21,6 +22,8 @@ struct JsonValue {
 
   Kind kind = Kind::kNull;
   bool boolean = false;
+  /// A number written without fraction or exponent, |number| < 2^53.
+  bool integral = false;
   double number = 0.0;
   std::string string;
   std::vector<JsonValue> array;
@@ -45,5 +48,9 @@ struct JsonValue {
 /// Parses one JSON document (leading/trailing whitespace allowed; anything
 /// after the value is an error). Throws std::invalid_argument.
 JsonValue parse_json(const std::string& text);
+
+/// A file's bytes, for the readers; throws std::invalid_argument naming the
+/// path when it cannot be opened.
+std::string read_file(const std::string& path);
 
 }  // namespace wsched::check
