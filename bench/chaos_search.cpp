@@ -13,7 +13,8 @@
 //   --chaos-out PREFIX   write minimized repros as PREFIX-repro-<seed>.json
 //                        (default "chaos")
 //   --chaos-replay FILE  replay a schedule/repro file instead of searching
-//                        (repeatable; exit reflects its invariants)
+//                        (repeatable; exit 2 if any file is refused, else
+//                        1 on an invariant violation, else 0)
 //   --chaos-dump         write every sampled schedule as
 //                        PREFIX-schedule-<seed>.json (no simulation) —
 //                        the corpus-authoring helper
@@ -29,14 +30,14 @@
 // row carries the FNV-1a hash of the run's canonical metrics row — the
 // byte-identity witness a replay must reproduce.
 //
-// Exit status: nonzero when any seed (or replayed file) violates an
-// invariant — CI runs this binary as the chaos smoke test.
+// Exit status: nonzero when any seed (or replayed file) fails, as above —
+// CI runs this binary as the chaos smoke test.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "check/json.hpp"
 #include "check/runner.hpp"
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
@@ -46,14 +47,6 @@
 namespace {
 
 using namespace wsched;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 std::string join_violations(const check::InvariantReport& report) {
   std::string out;
@@ -78,23 +71,23 @@ void print_report(const check::ChaosOutcome& outcome) {
 }
 
 int replay_files(const std::vector<std::string>& files) {
-  int violated = 0;
+  int refused = 0, violated = 0;
   for (const std::string& path : files) {
     check::ChaosSchedule schedule;
     try {
-      schedule = check::schedule_from_json(read_file(path));
+      schedule = check::schedule_from_json(check::read_file(path));
     } catch (const std::exception& e) {
       std::printf("%s: unreadable schedule: %s\n", path.c_str(), e.what());
-      ++violated;
+      ++refused;
       continue;
     }
     std::printf("%s (seed %llu):\n", path.c_str(),
                 static_cast<unsigned long long>(schedule.seed));
     const check::ChaosOutcome outcome = check::run_schedule(schedule);
     print_report(outcome);
-    if (!outcome.ok()) ++violated;
+    if (!outcome.ok()) ++(outcome.error.empty() ? violated : refused);
   }
-  return violated == 0 ? 0 : 1;
+  return refused > 0 ? 2 : violated > 0 ? 1 : 0;
 }
 
 }  // namespace
