@@ -41,7 +41,7 @@ constexpr Variant kVariants[] = {
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv, {"lambda"});
 
   harness::SweepSpec sweep;
   sweep.base.profile = trace::ksu_profile();

@@ -13,8 +13,10 @@
 //   --chaos-out PREFIX   write minimized repros as PREFIX-repro-<seed>.json
 //                        (default "chaos")
 //   --chaos-replay FILE  replay a schedule/repro file instead of searching
-//                        (repeatable; exit 2 if any file is refused, else
-//                        1 on an invariant violation, else 0)
+//                        (repeatable, one FILE per flag; exit 2 if any file
+//                        is refused or the command line is not understood,
+//                        e.g. a second FILE without its own --chaos-replay,
+//                        else 1 on an invariant violation, else 0)
 //   --chaos-dump         write every sampled schedule as
 //                        PREFIX-schedule-<seed>.json (no simulation) —
 //                        the corpus-authoring helper
@@ -93,7 +95,9 @@ int replay_files(const std::vector<std::string>& files) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(
+      argc, argv, {"chaos-seeds", "chaos-start", "chaos-horizon", "chaos-out",
+                   "chaos-replay", "chaos-dump", "chaos-shrink-attempts"});
 
   const std::vector<std::string> replays = cli.args.get_all("chaos-replay");
   if (!replays.empty()) return replay_files(replays);

@@ -10,7 +10,6 @@
 // summary per artifact, 1 naming the file and first rule broken, 2 on a
 // usage error.
 #include <cstdio>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,11 +25,10 @@ int main(int argc, char** argv) {
   ArtifactRequirements req;
   std::vector<std::pair<std::string, char>> artifacts;  // path, kind
   try {
-    const CliArgs args(argc, argv);
-    const std::set<std::string> known{"probes", "require-phase", "net", "ctrl",
-                                      "spans",  "hedges",        "exemplars"};
-    for (const std::string& flag : args.flag_names())
-      if (!known.count(flag)) throw std::invalid_argument("unknown --" + flag);
+    const CliArgs args(argc, argv,
+                       {"probes", "require-phase", "net", "ctrl", "spans",
+                        "hedges", "exemplars"},
+                       1);
     req = {args.get_all("require-phase"), args.get_bool("net", false),
            args.get_bool("ctrl", false), args.get_bool("spans", false),
            args.get_bool("hedges", false)};
@@ -42,8 +40,7 @@ int main(int argc, char** argv) {
     for (const std::string& path : args.get_all("exemplars"))
       artifacts.emplace_back(path, 'x');
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "check_artifacts: %s\n", e.what());
-    return 2;
+    usage_error(argv[0], e.what());
   }
   for (const auto& [path, kind] : artifacts) {
     ArtifactCheck c;

@@ -16,7 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(
+      argc, argv, {"lambda", "duration", "urls", "zipf"});
 
   harness::SweepSpec sweep;
   sweep.base.profile = trace::ksu_profile();

@@ -81,7 +81,7 @@ bool ledger_closed(const harness::ResultRow& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv);
   int failures = 0;
 
   // --- drill 1: workload flip, oracle vs frozen vs online w ---------------

@@ -42,7 +42,7 @@ core::ExperimentSpec base_spec(const harness::BenchCli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv, {"lambda", "mttr"});
 
   core::ExperimentSpec spec = base_spec(cli);
   if (spec.lambda <= 0.0 || spec.fault.mttr_s <= 0.0) {

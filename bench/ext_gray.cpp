@@ -91,7 +91,7 @@ bool ledger_closed(const harness::ResultRow& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv, {"lambda"});
 
   core::ExperimentSpec spec = base_spec(cli);
   if (spec.lambda <= 0.0) {

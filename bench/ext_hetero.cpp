@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv, {"lambda"});
 
   harness::SweepSpec sweep;
   sweep.base.profile = trace::adl_profile();

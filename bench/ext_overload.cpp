@@ -61,7 +61,7 @@ overload::OverloadConfig overload_on() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv, {"lambda-max"});
 
   core::ExperimentSpec spec = base_spec(cli);
   const double lambda_max = cli.args.get_double("lambda-max", 1100.0);

@@ -18,7 +18,8 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli =
+      harness::BenchCli::parse(argc, argv, {"p", "lambda", "mu_h"});
 
   harness::SweepSpec sweep;
   sweep.base.p = static_cast<int>(cli.args.get_int("p", 32));

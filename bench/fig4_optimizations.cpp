@@ -24,7 +24,8 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(
+      argc, argv, {"seeds", "duration", "warmup", "seed"});
   const bool quick = cli.quick;
   const int seeds =
       static_cast<int>(cli.args.get_int("seeds", quick ? 1 : 3));

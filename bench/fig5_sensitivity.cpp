@@ -23,7 +23,8 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli =
+      harness::BenchCli::parse(argc, argv, {"duration", "warmup", "seed"});
   const bool quick = cli.quick;
 
   // Fixed-m derivation, as sampled by an administrator once.

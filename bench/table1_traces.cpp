@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv, {"requests", "seed"});
   const auto requests = static_cast<std::size_t>(
       cli.args.get_int("requests", cli.quick ? 20000 : 120000));
 

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv);
 
   harness::SweepSpec sweep;
   sweep.axes = {harness::table2_cell_axis({32, 128}),

@@ -55,7 +55,9 @@ double run_sim(const trace::Trace& trace, core::SchedulerKind kind, int m,
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::BenchCli cli(argc, argv);
+  auto cli = harness::BenchCli::parse(
+      argc, argv, {"rate-scale", "duration", "reps", "compression", "duty",
+                   "seed"});
   if (!cli.args.has("jobs")) cli.options.jobs = 1;  // wall-clock-sensitive
   const bool quick = cli.quick;
   const double rate_scale = cli.args.get_double("rate-scale", 1.0);

@@ -115,7 +115,7 @@ harness::Axis policy_axis() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv);
 
   harness::SweepSpec sweep;
   sweep.base.p = 16;

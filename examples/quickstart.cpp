@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace wsched;
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(argc, argv);
 
   // 1. Describe the workload analytically: 16 nodes, 600 req/s total,
   //    29% CGI (the KSU library profile), CGI ~40x as expensive as a file

@@ -78,7 +78,9 @@ void print_trace_report(const trace::Trace& t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::BenchCli cli(argc, argv);
+  const auto cli = harness::BenchCli::parse(
+      argc, argv, {"load", "profile", "lambda", "duration", "inv-r", "mu_h",
+                   "seed", "bursty", "save"});
 
   if (cli.args.has("load")) {
     const std::string path = cli.args.get("load", "");

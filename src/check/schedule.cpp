@@ -4,10 +4,14 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "check/json.hpp"
 #include "harness/artifacts.hpp"
@@ -21,15 +25,6 @@ namespace {
 constexpr int kFormatVersion = 1;
 constexpr const char* kFormatTag = "wsched-chaos-schedule";
 
-trace::WorkloadProfile profile_by_name(const std::string& name) {
-  if (name == "ksu") return trace::ksu_profile();
-  if (name == "ucb") return trace::ucb_profile();
-  if (name == "dec") return trace::dec_profile();
-  if (name == "adl") return trace::adl_profile();
-  throw std::invalid_argument("chaos schedule: unknown profile '" + name +
-                              "'");
-}
-
 const char* kProfiles[] = {"ksu", "ucb", "dec", "adl"};
 
 bool known_profile(const std::string& name) {
@@ -42,19 +37,264 @@ bool known_profile(const std::string& name) {
 constexpr double kMaxInt = std::numeric_limits<int>::max();
 constexpr double kMaxSeed = 9007199254740992.0;  // 2^53
 
-/// Member `key` of `obj` as a whole number in [0, max]. A fraction would
-/// be truncated and a negative or huge value makes the integer cast
-/// undefined, so both are refused with the field's name (`where` prefixes
-/// it for members of array entries, e.g. "crashes[2].").
-double whole(const JsonValue& obj, const std::string& key, double fallback,
-             double max, const std::string& where = "") {
-  const double value = obj.get_number(key, fallback);
-  if (!(value >= 0.0 && value <= max && value == std::floor(value)))
-    throw std::invalid_argument(
-        "chaos schedule: " + where + key + " must be a whole number in [0, " +
-        harness::format_number(max) + "], got " +
-        harness::format_number(value));
-  return value;
+/// One member of a schedule file object: its JSON key and the struct member
+/// holding it, whose type is the value's kind (the u64 seed, a whole int, a
+/// double, a bool, a string, or an array of entries with rows of their own).
+/// The rows below are the file format, in file order: to_json writes them,
+/// schedule_from_json reads them and nothing else, and validate() requires
+/// every double among them to be finite.
+template <typename T>
+struct Field {
+  const char* key;
+  std::variant<std::uint64_t T::*, int T::*, double T::*, bool T::*,
+               std::string T::*, std::vector<CrashEpisode> T::*,
+               std::vector<PartitionWindow> T::*>
+      member;
+};
+
+using S = ChaosSchedule;
+using Crash = CrashEpisode;
+using Window = PartitionWindow;
+
+constexpr Field<S> kScheduleFields[] = {
+    {"seed", &S::seed}, {"horizon_s", &S::horizon_s},
+    {"warmup_s", &S::warmup_s}, {"p", &S::p}, {"m", &S::m},
+    {"lambda", &S::lambda}, {"profile", &S::profile}, {"bursty", &S::bursty},
+    {"diurnal", &S::diurnal}, {"diurnal_period_s", &S::diurnal_period_s},
+    {"diurnal_amplitude", &S::diurnal_amplitude}, {"flip_at_s", &S::flip_at_s},
+    {"flip_profile", &S::flip_profile}, {"fault", &S::fault},
+    {"crashes", &S::crashes}, {"crash_mttf_s", &S::crash_mttf_s},
+    {"crash_mttr_s", &S::crash_mttr_s}, {"degrade_mttf_s", &S::degrade_mttf_s},
+    {"degrade_mttr_s", &S::degrade_mttr_s},
+    {"degrade_cpu_factor", &S::degrade_cpu_factor},
+    {"degrade_disk_factor", &S::degrade_disk_factor},
+    {"stall_period_s", &S::stall_period_s}, {"stall_len_s", &S::stall_len_s},
+    {"net", &S::net}, {"net_loss", &S::net_loss},
+    {"net_latency_jitter_s", &S::net_latency_jitter_s},
+    {"net_reorder", &S::net_reorder}, {"quorum", &S::quorum},
+    {"stale_max_age_s", &S::stale_max_age_s},
+    {"load_report_interval_s", &S::load_report_interval_s},
+    {"partitions", &S::partitions},
+    {"deadline_static_s", &S::deadline_static_s},
+    {"deadline_dynamic_s", &S::deadline_dynamic_s},
+    {"shed_policy", &S::shed_policy},
+    {"overload_retries", &S::overload_retries}, {"breakers", &S::breakers},
+    {"degraded_mode", &S::degraded_mode}, {"ctrl", &S::ctrl},
+    {"ctrl_interval_s", &S::ctrl_interval_s}, {"theta_slew", &S::theta_slew},
+    {"autoscale", &S::autoscale}, {"min_powered", &S::min_powered},
+    {"retarget_masters", &S::retarget_masters},
+    {"slow_health", &S::slow_health},
+    {"slow_health_exclude", &S::slow_health_exclude}, {"hedge", &S::hedge},
+    {"hedge_delay_s", &S::hedge_delay_s}, {"spans", &S::spans}};
+constexpr Field<Crash> kCrashFields[] = {
+    {"at_s", &Crash::at_s}, {"node", &Crash::node},
+    {"recover_s", &Crash::recover_s}};
+constexpr Field<Window> kWindowFields[] = {
+    {"from_s", &Window::from_s}, {"until_s", &Window::until_s},
+    {"cut", &Window::cut}};
+
+std::span<const Field<S>> fields_of(const S&) { return kScheduleFields; }
+std::span<const Field<Crash>> fields_of(const Crash&) { return kCrashFields; }
+std::span<const Field<Window>> fields_of(const Window&) {
+  return kWindowFields;
+}
+
+/// Calls `fn(key, value)` for each row of `obj`, in file order.
+template <typename T, typename Fn>
+void for_each_member(T& obj, Fn fn) {
+  for (const auto& field : fields_of(obj))
+    std::visit([&](auto member) { fn(field.key, obj.*member); },
+               field.member);
+}
+
+/// Writes each row of `obj` as `"key": value`, rows split by `separator`.
+template <typename T>
+void write_members(std::ostream& out, const T& obj, const char* separator) {
+  const char* lead = "";
+  for_each_member(obj, [&](const char* key, const auto& value) {
+    using V = std::decay_t<decltype(value)>;
+    out << lead << '"' << key << "\": ";
+    lead = separator;
+    if constexpr (std::is_same_v<V, bool>) {
+      out << (value ? "true" : "false");
+    } else if constexpr (std::is_same_v<V, std::string>) {
+      out << '"' << harness::json_escape(value) << '"';
+    } else if constexpr (std::is_arithmetic_v<V>) {
+      out << harness::format_number(static_cast<double>(value));
+    } else {
+      out << '[';
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        out << (i > 0 ? ", {" : "{");
+        write_members(out, value[i], ", ");
+        out << '}';
+      }
+      out << ']';
+    }
+  });
+}
+
+/// Reads each row of `into` from `obj`; an absent member keeps the value
+/// `into` holds. A member that is neither a row nor one of `also` is
+/// refused. `where` prefixes names inside array entries ("crashes[2].").
+template <typename T>
+void read_members(const JsonValue& obj, T& into, const std::string& where,
+                  std::initializer_list<std::string_view> also = {}) {
+  for (const auto& [key, value] : obj.object)
+    if (std::ranges::find(also, std::string_view(key)) == also.end() &&
+        std::ranges::none_of(fields_of(into),
+                             [&](const auto& row) { return key == row.key; }))
+      throw std::invalid_argument("chaos schedule: unknown member '" + where +
+                                  key + "'");
+  for_each_member(into, [&](const std::string& key, auto& value) {
+    using V = std::decay_t<decltype(value)>;
+    const std::string name = where + key;
+    if constexpr (std::is_same_v<V, bool>) {
+      value = obj.get_bool(key, value);
+    } else if constexpr (std::is_integral_v<V>) {
+      // A fraction would be truncated, and a negative or huge value makes
+      // the integer cast undefined: both are refused, naming the field.
+      const double max = std::is_same_v<V, int> ? kMaxInt : kMaxSeed;
+      const double x = obj.get_number(key, static_cast<double>(value));
+      if (!(x >= 0.0 && x <= max && x == std::floor(x)))
+        throw std::invalid_argument(
+            "chaos schedule: " + name + " must be a whole number in [0, " +
+            harness::format_number(max) + "], got " +
+            harness::format_number(x));
+      value = static_cast<V>(x);
+    } else if constexpr (std::is_same_v<V, double>) {
+      value = obj.get_number(key, value);
+    } else if constexpr (std::is_same_v<V, std::string>) {
+      value = obj.get_string(key, value);
+    } else if (const JsonValue* entries = obj.find(key)) {
+      if (!entries->is(JsonValue::Kind::kArray))
+        throw std::invalid_argument("chaos schedule: \"" + name +
+                                    "\" not an array");
+      for (const JsonValue& entry : entries->array) {
+        const std::string at = name + "[" + std::to_string(value.size()) + "].";
+        read_members(entry, value.emplace_back(), at);
+      }
+    }
+  });
+}
+
+/// "<where><key> must be finite" for the first double row of `obj` that is
+/// not, then likewise inside its array entries in order; "" when all are.
+template <typename T>
+std::string non_finite(const T& obj, const std::string& where) {
+  std::string problem;
+  for_each_member(obj, [&](const char* key, const auto& value) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, double>)
+      if (problem.empty() && !std::isfinite(value))
+        problem = where + key + " must be finite";
+  });
+  for_each_member(obj, [&](const char* key, const auto& value) {
+    if constexpr (requires { fields_of(value[0]); })  // array of entries
+      for (std::size_t i = 0; i < value.size() && problem.empty(); ++i)
+        problem = non_finite(value[i],
+                             where + key + "[" + std::to_string(i) + "].");
+  });
+  return problem;
+}
+
+/// The schedule's scenario mapped onto an ExperimentSpec, unchecked.
+core::ExperimentSpec lower(const ChaosSchedule& s) {
+  core::ExperimentSpec spec;
+  spec.profile = trace::profile_by_name(s.profile);
+  spec.p = s.p;
+  spec.m = s.m;
+  spec.lambda = s.lambda;
+  spec.r = 1.0 / 40.0;
+  spec.duration_s = s.horizon_s;
+  spec.warmup_s = s.warmup_s;
+  spec.kind = core::SchedulerKind::kMs;
+  // Salt the run seed so the workload stream is independent of the
+  // generator's own sampling stream.
+  std::uint64_t state = s.seed;
+  spec.seed = splitmix64(state);
+  spec.bursty = s.bursty;
+  spec.diurnal = s.diurnal;
+  spec.diurnal_period_s = s.diurnal_period_s;
+  spec.diurnal_amplitude = s.diurnal_amplitude;
+  if (s.flip_at_s > 0.0 && s.flip_at_s < s.horizon_s) {
+    spec.flip_at_s = s.flip_at_s;
+    spec.flip_profile = trace::profile_by_name(s.flip_profile);
+  }
+
+  if (s.fault) {
+    spec.fault.enabled = true;
+    spec.fault.mttf_s = s.crash_mttf_s;
+    spec.fault.mttr_s = s.crash_mttr_s;
+    for (const CrashEpisode& c : s.crashes) {
+      spec.fault.script.push_back({from_seconds(c.at_s), c.node,
+                                   fault::FaultKind::kCrash, 1.0, 1.0});
+      if (c.recover_s > c.at_s)
+        spec.fault.script.push_back({from_seconds(c.recover_s), c.node,
+                                     fault::FaultKind::kRecover, 1.0, 1.0});
+    }
+    spec.fault.degrade_mttf_s = s.degrade_mttf_s;
+    spec.fault.degrade_mttr_s = s.degrade_mttr_s;
+    spec.fault.degrade_cpu_factor = s.degrade_cpu_factor;
+    spec.fault.degrade_disk_factor = s.degrade_disk_factor;
+    spec.fault.stall_period_s = s.stall_period_s;
+    spec.fault.stall_len_s = s.stall_len_s;
+  }
+
+  if (s.net) {
+    spec.net.enabled = true;
+    spec.net.loss = s.net_loss;
+    spec.net.latency_jitter_s = s.net_latency_jitter_s;
+    spec.net.reorder = s.net_reorder;
+    spec.net.quorum = s.quorum;
+    spec.net.stale_max_age_s = s.stale_max_age_s;
+    spec.net.load_report_interval_s = s.load_report_interval_s;
+    for (const PartitionWindow& w : s.partitions) {
+      net::PartitionSpec part;
+      part.from = from_seconds(w.from_s);
+      part.until = from_seconds(w.until_s);
+      part.groups.resize(2);
+      for (int n = 0; n < s.p; ++n)
+        part.groups[n < w.cut ? 0 : 1].push_back(n);
+      spec.net.partitions.push_back(std::move(part));
+    }
+  }
+
+  spec.overload.deadline.static_s = s.deadline_static_s;
+  spec.overload.deadline.dynamic_s = s.deadline_dynamic_s;
+  spec.overload.admission.policy =
+      overload::parse_admission_policy(s.shed_policy);
+  spec.overload.admission.max_queue = 24.0;
+  spec.overload.admission.max_utilization = 0.85;
+  spec.overload.admission.stretch_target = 5.0;
+  spec.overload.max_retries = s.overload_retries;
+  spec.overload.breaker.enabled = s.breakers;
+  spec.overload.breaker.queue_trip = 64.0;
+  spec.overload.saturation.enabled = s.degraded_mode;
+  spec.overload.saturation.enter_queue = 12.0;
+  spec.overload.saturation.exit_queue = 4.0;
+
+  if (s.ctrl) {
+    spec.ctrl.enabled = true;
+    spec.ctrl.interval_s = s.ctrl_interval_s;
+    spec.ctrl.theta_slew = s.theta_slew;
+    spec.ctrl.autoscale = s.autoscale;
+    spec.ctrl.min_powered = s.min_powered;
+    spec.ctrl.retarget_masters = s.retarget_masters;
+  }
+
+  if (s.slow_health) {
+    spec.slow_health.enabled = true;
+    spec.slow_health.exclude = s.slow_health_exclude;
+  }
+  if (s.hedge) {
+    spec.hedge.enabled = true;
+    spec.hedge.delay_s = s.hedge_delay_s;
+  }
+  spec.obs.spans = s.spans;
+
+  // Runaway guard: a hostile composition may saturate, but it must
+  // quarantine (EngineGuardError -> "engine-guard" violation), not spin.
+  spec.max_events = 80'000'000;
+  return spec;
 }
 
 }  // namespace
@@ -204,64 +444,19 @@ std::string validate(const ChaosSchedule& s) {
   // A JSON 1e999 parses as infinity. An infinite (or NaN) horizon or rate
   // would leave the trace generator looping forever, and an infinite event
   // time would overflow from_seconds(), so no double field may be either.
-  const std::pair<const char*, double> scalars[] = {
-      {"horizon_s", s.horizon_s},
-      {"warmup_s", s.warmup_s},
-      {"lambda", s.lambda},
-      {"diurnal_period_s", s.diurnal_period_s},
-      {"diurnal_amplitude", s.diurnal_amplitude},
-      {"flip_at_s", s.flip_at_s},
-      {"crash_mttf_s", s.crash_mttf_s},
-      {"crash_mttr_s", s.crash_mttr_s},
-      {"degrade_mttf_s", s.degrade_mttf_s},
-      {"degrade_mttr_s", s.degrade_mttr_s},
-      {"degrade_cpu_factor", s.degrade_cpu_factor},
-      {"degrade_disk_factor", s.degrade_disk_factor},
-      {"stall_period_s", s.stall_period_s},
-      {"stall_len_s", s.stall_len_s},
-      {"net_loss", s.net_loss},
-      {"net_latency_jitter_s", s.net_latency_jitter_s},
-      {"net_reorder", s.net_reorder},
-      {"stale_max_age_s", s.stale_max_age_s},
-      {"load_report_interval_s", s.load_report_interval_s},
-      {"deadline_static_s", s.deadline_static_s},
-      {"deadline_dynamic_s", s.deadline_dynamic_s},
-      {"ctrl_interval_s", s.ctrl_interval_s},
-      {"theta_slew", s.theta_slew},
-      {"hedge_delay_s", s.hedge_delay_s}};
-  for (const auto& [name, value] : scalars)
-    if (!std::isfinite(value)) return std::string(name) + " must be finite";
-  for (std::size_t i = 0; i < s.crashes.size(); ++i) {
-    const CrashEpisode& c = s.crashes[i];
-    for (const auto& [name, value] :
-         {std::pair{"at_s", c.at_s}, std::pair{"recover_s", c.recover_s}})
-      if (!std::isfinite(value))
-        return "crashes[" + std::to_string(i) + "]." + name + " must be finite";
-  }
-  for (std::size_t i = 0; i < s.partitions.size(); ++i) {
-    const PartitionWindow& w = s.partitions[i];
-    for (const auto& [name, value] :
-         {std::pair{"from_s", w.from_s}, std::pair{"until_s", w.until_s}})
-      if (!std::isfinite(value))
-        return "partitions[" + std::to_string(i) + "]." + name +
-               " must be finite";
-  }
+  if (std::string problem = non_finite(s, ""); !problem.empty())
+    return problem;
   if (s.warmup_s < 0.0) return "warmup_s must be >= 0";
   if (s.horizon_s <= s.warmup_s) return "horizon must exceed warmup";
   if (s.lambda <= 0.0) return "lambda must be > 0";
   if (!known_profile(s.profile)) return "unknown profile '" + s.profile + "'";
-  if (!s.flip_profile.empty() && !known_profile(s.flip_profile))
+  if (!known_profile(s.flip_profile))
     return "unknown flip_profile '" + s.flip_profile + "'";
-  if (s.autoscale && s.fault)
-    return "autoscale and the fault layer are mutually exclusive";
-  if (s.retarget_masters && s.fault)
-    return "retarget_masters and fault are mutually exclusive (failover "
-           "owns the roles)";
-  if (s.retarget_masters && !s.autoscale)
-    return "retarget_masters requires autoscale (the control loop retargets "
-           "only alongside its power actions)";
-  if (!s.partitions.empty() && (!s.net || !s.fault))
-    return "partitions require the net model and the fault layer";
+  if ((s.autoscale || s.retarget_masters) && !s.ctrl)
+    return "autoscale and retarget_masters require ctrl (without it they "
+           "would not reach the run)";
+  if (!s.partitions.empty() && !s.net)
+    return "partitions require the net model";
   if (!s.crashes.empty() && !s.fault) return "crashes require the fault layer";
   for (const CrashEpisode& c : s.crashes) {
     if (c.node < 0 || c.node >= s.p) return "crash node out of range";
@@ -277,195 +472,25 @@ std::string validate(const ChaosSchedule& s) {
   if (s.shed_policy != "none" && s.shed_policy != "queue" &&
       s.shed_policy != "util" && s.shed_policy != "stretch")
     return "unknown shed policy";
-  if (s.autoscale && s.min_powered < 1) return "min_powered must be >= 1";
-  return "";
+  // The layer-composition rules are the cluster's own, on the lowered spec.
+  const core::ExperimentSpec spec = lower(s);
+  return core::composition_problem(spec.fault, spec.net, spec.ctrl,
+                                   spec.hedge);
 }
 
 core::ExperimentSpec to_spec(const ChaosSchedule& s) {
   const std::string problem = validate(s);
   if (!problem.empty())
     throw std::invalid_argument("chaos schedule: " + problem);
-
-  core::ExperimentSpec spec;
-  spec.profile = profile_by_name(s.profile);
-  spec.p = s.p;
-  spec.m = s.m;
-  spec.lambda = s.lambda;
-  spec.r = 1.0 / 40.0;
-  spec.duration_s = s.horizon_s;
-  spec.warmup_s = s.warmup_s;
-  spec.kind = core::SchedulerKind::kMs;
-  // Salt the run seed so the workload stream is independent of the
-  // generator's own sampling stream.
-  std::uint64_t state = s.seed;
-  spec.seed = splitmix64(state);
-  spec.bursty = s.bursty;
-  spec.diurnal = s.diurnal;
-  spec.diurnal_period_s = s.diurnal_period_s;
-  spec.diurnal_amplitude = s.diurnal_amplitude;
-  if (s.flip_at_s > 0.0 && s.flip_at_s < s.horizon_s) {
-    spec.flip_at_s = s.flip_at_s;
-    spec.flip_profile = profile_by_name(s.flip_profile);
-  }
-
-  if (s.fault) {
-    spec.fault.enabled = true;
-    spec.fault.mttf_s = s.crash_mttf_s;
-    spec.fault.mttr_s = s.crash_mttr_s;
-    for (const CrashEpisode& c : s.crashes) {
-      spec.fault.script.push_back({from_seconds(c.at_s), c.node,
-                                   fault::FaultKind::kCrash, 1.0, 1.0});
-      if (c.recover_s > c.at_s)
-        spec.fault.script.push_back({from_seconds(c.recover_s), c.node,
-                                     fault::FaultKind::kRecover, 1.0, 1.0});
-    }
-    spec.fault.degrade_mttf_s = s.degrade_mttf_s;
-    spec.fault.degrade_mttr_s = s.degrade_mttr_s;
-    spec.fault.degrade_cpu_factor = s.degrade_cpu_factor;
-    spec.fault.degrade_disk_factor = s.degrade_disk_factor;
-    spec.fault.stall_period_s = s.stall_period_s;
-    spec.fault.stall_len_s = s.stall_len_s;
-  }
-
-  if (s.net) {
-    spec.net.enabled = true;
-    spec.net.loss = s.net_loss;
-    spec.net.latency_jitter_s = s.net_latency_jitter_s;
-    spec.net.reorder = s.net_reorder;
-    spec.net.quorum = s.quorum;
-    spec.net.stale_max_age_s = s.stale_max_age_s;
-    spec.net.load_report_interval_s = s.load_report_interval_s;
-    for (const PartitionWindow& w : s.partitions) {
-      net::PartitionSpec part;
-      part.from = from_seconds(w.from_s);
-      part.until = from_seconds(w.until_s);
-      part.groups.resize(2);
-      for (int n = 0; n < s.p; ++n)
-        part.groups[n < w.cut ? 0 : 1].push_back(n);
-      spec.net.partitions.push_back(std::move(part));
-    }
-  }
-
-  spec.overload.deadline.static_s = s.deadline_static_s;
-  spec.overload.deadline.dynamic_s = s.deadline_dynamic_s;
-  spec.overload.admission.policy =
-      overload::parse_admission_policy(s.shed_policy);
-  spec.overload.admission.max_queue = 24.0;
-  spec.overload.admission.max_utilization = 0.85;
-  spec.overload.admission.stretch_target = 5.0;
-  spec.overload.max_retries = s.overload_retries;
-  spec.overload.breaker.enabled = s.breakers;
-  spec.overload.breaker.queue_trip = 64.0;
-  spec.overload.saturation.enabled = s.degraded_mode;
-  spec.overload.saturation.enter_queue = 12.0;
-  spec.overload.saturation.exit_queue = 4.0;
-
-  if (s.ctrl) {
-    spec.ctrl.enabled = true;
-    spec.ctrl.interval_s = s.ctrl_interval_s;
-    spec.ctrl.theta_slew = s.theta_slew;
-    spec.ctrl.autoscale = s.autoscale;
-    spec.ctrl.min_powered = s.min_powered;
-    spec.ctrl.retarget_masters = s.retarget_masters;
-  }
-
-  if (s.slow_health) {
-    spec.slow_health.enabled = true;
-    spec.slow_health.exclude = s.slow_health_exclude;
-  }
-  if (s.hedge) {
-    spec.hedge.enabled = true;
-    spec.hedge.delay_s = s.hedge_delay_s;
-  }
-  spec.obs.spans = s.spans;
-
-  // Runaway guard: a hostile composition may saturate, but it must
-  // quarantine (EngineGuardError -> "engine-guard" violation), not spin.
-  spec.max_events = 80'000'000;
-  return spec;
+  return lower(s);
 }
 
 std::string to_json(const ChaosSchedule& s) {
-  using harness::format_number;
   std::ostringstream out;
-  const auto num = [&](const char* key, double v, bool tail = true) {
-    out << "  \"" << key << "\": " << format_number(v) << (tail ? ",\n" : "\n");
-  };
-  const auto boolean = [&](const char* key, bool v, bool tail = true) {
-    out << "  \"" << key << "\": " << (v ? "true" : "false")
-        << (tail ? ",\n" : "\n");
-  };
-  const auto str = [&](const char* key, const std::string& v,
-                       bool tail = true) {
-    out << "  \"" << key << "\": \"" << harness::json_escape(v) << "\""
-        << (tail ? ",\n" : "\n");
-  };
-  out << "{\n";
-  str("format", kFormatTag);
-  num("version", kFormatVersion);
-  num("seed", static_cast<double>(s.seed));
-  num("horizon_s", s.horizon_s);
-  num("warmup_s", s.warmup_s);
-  num("p", s.p);
-  num("m", s.m);
-  num("lambda", s.lambda);
-  str("profile", s.profile);
-  boolean("bursty", s.bursty);
-  boolean("diurnal", s.diurnal);
-  num("diurnal_period_s", s.diurnal_period_s);
-  num("diurnal_amplitude", s.diurnal_amplitude);
-  num("flip_at_s", s.flip_at_s);
-  str("flip_profile", s.flip_profile);
-  boolean("fault", s.fault);
-  out << "  \"crashes\": [";
-  for (std::size_t i = 0; i < s.crashes.size(); ++i) {
-    const CrashEpisode& c = s.crashes[i];
-    out << (i > 0 ? ", " : "") << "{\"at_s\": " << format_number(c.at_s)
-        << ", \"node\": " << c.node
-        << ", \"recover_s\": " << format_number(c.recover_s) << "}";
-  }
-  out << "],\n";
-  num("crash_mttf_s", s.crash_mttf_s);
-  num("crash_mttr_s", s.crash_mttr_s);
-  num("degrade_mttf_s", s.degrade_mttf_s);
-  num("degrade_mttr_s", s.degrade_mttr_s);
-  num("degrade_cpu_factor", s.degrade_cpu_factor);
-  num("degrade_disk_factor", s.degrade_disk_factor);
-  num("stall_period_s", s.stall_period_s);
-  num("stall_len_s", s.stall_len_s);
-  boolean("net", s.net);
-  num("net_loss", s.net_loss);
-  num("net_latency_jitter_s", s.net_latency_jitter_s);
-  num("net_reorder", s.net_reorder);
-  boolean("quorum", s.quorum);
-  num("stale_max_age_s", s.stale_max_age_s);
-  num("load_report_interval_s", s.load_report_interval_s);
-  out << "  \"partitions\": [";
-  for (std::size_t i = 0; i < s.partitions.size(); ++i) {
-    const PartitionWindow& w = s.partitions[i];
-    out << (i > 0 ? ", " : "") << "{\"from_s\": " << format_number(w.from_s)
-        << ", \"until_s\": " << format_number(w.until_s)
-        << ", \"cut\": " << w.cut << "}";
-  }
-  out << "],\n";
-  num("deadline_static_s", s.deadline_static_s);
-  num("deadline_dynamic_s", s.deadline_dynamic_s);
-  str("shed_policy", s.shed_policy);
-  num("overload_retries", s.overload_retries);
-  boolean("breakers", s.breakers);
-  boolean("degraded_mode", s.degraded_mode);
-  boolean("ctrl", s.ctrl);
-  num("ctrl_interval_s", s.ctrl_interval_s);
-  num("theta_slew", s.theta_slew);
-  boolean("autoscale", s.autoscale);
-  num("min_powered", s.min_powered);
-  boolean("retarget_masters", s.retarget_masters);
-  boolean("slow_health", s.slow_health);
-  boolean("slow_health_exclude", s.slow_health_exclude);
-  boolean("hedge", s.hedge);
-  num("hedge_delay_s", s.hedge_delay_s);
-  boolean("spans", s.spans, /*tail=*/false);
-  out << "}\n";
+  out << "{\n  \"format\": \"" << kFormatTag << "\",\n  \"version\": "
+      << kFormatVersion << ",\n  ";
+  write_members(out, s, ",\n  ");
+  out << "\n}\n";
   return out.str();
 }
 
@@ -478,96 +503,8 @@ ChaosSchedule schedule_from_json(const std::string& text) {
         "chaos schedule: missing or wrong \"format\" tag");
   if (doc.get_number("version", 0) != kFormatVersion)
     throw std::invalid_argument("chaos schedule: unsupported version");
-
-  ChaosSchedule defaults;
   ChaosSchedule s;
-  s.seed = static_cast<std::uint64_t>(whole(doc, "seed", 1, kMaxSeed));
-  s.horizon_s = doc.get_number("horizon_s", defaults.horizon_s);
-  s.warmup_s = doc.get_number("warmup_s", defaults.warmup_s);
-  s.p = static_cast<int>(whole(doc, "p", defaults.p, kMaxInt));
-  s.m = static_cast<int>(whole(doc, "m", defaults.m, kMaxInt));
-  s.lambda = doc.get_number("lambda", defaults.lambda);
-  s.profile = doc.get_string("profile", defaults.profile);
-  s.bursty = doc.get_bool("bursty", defaults.bursty);
-  s.diurnal = doc.get_bool("diurnal", defaults.diurnal);
-  s.diurnal_period_s =
-      doc.get_number("diurnal_period_s", defaults.diurnal_period_s);
-  s.diurnal_amplitude =
-      doc.get_number("diurnal_amplitude", defaults.diurnal_amplitude);
-  s.flip_at_s = doc.get_number("flip_at_s", defaults.flip_at_s);
-  s.flip_profile = doc.get_string("flip_profile", defaults.flip_profile);
-  s.fault = doc.get_bool("fault", defaults.fault);
-  if (const JsonValue* crashes = doc.find("crashes")) {
-    if (!crashes->is(JsonValue::Kind::kArray))
-      throw std::invalid_argument("chaos schedule: \"crashes\" not an array");
-    for (const JsonValue& c : crashes->array) {
-      CrashEpisode e;
-      e.at_s = c.get_number("at_s", 0.0);
-      e.node = static_cast<int>(
-          whole(c, "node", 0, kMaxInt,
-                "crashes[" + std::to_string(s.crashes.size()) + "]."));
-      e.recover_s = c.get_number("recover_s", 0.0);
-      s.crashes.push_back(e);
-    }
-  }
-  s.crash_mttf_s = doc.get_number("crash_mttf_s", defaults.crash_mttf_s);
-  s.crash_mttr_s = doc.get_number("crash_mttr_s", defaults.crash_mttr_s);
-  s.degrade_mttf_s = doc.get_number("degrade_mttf_s", defaults.degrade_mttf_s);
-  s.degrade_mttr_s = doc.get_number("degrade_mttr_s", defaults.degrade_mttr_s);
-  s.degrade_cpu_factor =
-      doc.get_number("degrade_cpu_factor", defaults.degrade_cpu_factor);
-  s.degrade_disk_factor =
-      doc.get_number("degrade_disk_factor", defaults.degrade_disk_factor);
-  s.stall_period_s = doc.get_number("stall_period_s", defaults.stall_period_s);
-  s.stall_len_s = doc.get_number("stall_len_s", defaults.stall_len_s);
-  s.net = doc.get_bool("net", defaults.net);
-  s.net_loss = doc.get_number("net_loss", defaults.net_loss);
-  s.net_latency_jitter_s =
-      doc.get_number("net_latency_jitter_s", defaults.net_latency_jitter_s);
-  s.net_reorder = doc.get_number("net_reorder", defaults.net_reorder);
-  s.quorum = doc.get_bool("quorum", defaults.quorum);
-  s.stale_max_age_s =
-      doc.get_number("stale_max_age_s", defaults.stale_max_age_s);
-  s.load_report_interval_s = doc.get_number("load_report_interval_s",
-                                            defaults.load_report_interval_s);
-  if (const JsonValue* partitions = doc.find("partitions")) {
-    if (!partitions->is(JsonValue::Kind::kArray))
-      throw std::invalid_argument(
-          "chaos schedule: \"partitions\" not an array");
-    for (const JsonValue& w : partitions->array) {
-      PartitionWindow window;
-      window.from_s = w.get_number("from_s", 0.0);
-      window.until_s = w.get_number("until_s", 0.0);
-      window.cut = static_cast<int>(
-          whole(w, "cut", 1, kMaxInt,
-                "partitions[" + std::to_string(s.partitions.size()) + "]."));
-      s.partitions.push_back(window);
-    }
-  }
-  s.deadline_static_s =
-      doc.get_number("deadline_static_s", defaults.deadline_static_s);
-  s.deadline_dynamic_s =
-      doc.get_number("deadline_dynamic_s", defaults.deadline_dynamic_s);
-  s.shed_policy = doc.get_string("shed_policy", defaults.shed_policy);
-  s.overload_retries = static_cast<int>(
-      whole(doc, "overload_retries", defaults.overload_retries, kMaxInt));
-  s.breakers = doc.get_bool("breakers", defaults.breakers);
-  s.degraded_mode = doc.get_bool("degraded_mode", defaults.degraded_mode);
-  s.ctrl = doc.get_bool("ctrl", defaults.ctrl);
-  s.ctrl_interval_s =
-      doc.get_number("ctrl_interval_s", defaults.ctrl_interval_s);
-  s.theta_slew = doc.get_number("theta_slew", defaults.theta_slew);
-  s.autoscale = doc.get_bool("autoscale", defaults.autoscale);
-  s.min_powered = static_cast<int>(
-      whole(doc, "min_powered", defaults.min_powered, kMaxInt));
-  s.retarget_masters =
-      doc.get_bool("retarget_masters", defaults.retarget_masters);
-  s.slow_health = doc.get_bool("slow_health", defaults.slow_health);
-  s.slow_health_exclude =
-      doc.get_bool("slow_health_exclude", defaults.slow_health_exclude);
-  s.hedge = doc.get_bool("hedge", defaults.hedge);
-  s.hedge_delay_s = doc.get_number("hedge_delay_s", defaults.hedge_delay_s);
-  s.spans = doc.get_bool("spans", defaults.spans);
+  read_members(doc, s, "", {"format", "version"});
   return s;
 }
 

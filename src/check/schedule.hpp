@@ -11,9 +11,9 @@
 // serializes to a canonical JSON file, parses back byte-identically, and
 // lowers to a core::ExperimentSpec via to_spec(), so one seed — or one
 // committed repro file — reproduces the exact run. Construction respects
-// the cluster's own composition rules: partitions imply the fault layer,
-// and a schedule exercises either fault-layer chaos or ctrl autoscaling,
-// never both (ClusterSim rejects the combination).
+// the cluster's own composition rules (core::composition_problem):
+// partitions imply the fault layer, and a schedule exercises either
+// fault-layer chaos or ctrl autoscaling, never both.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +30,7 @@ struct CrashEpisode {
   double at_s = 0.0;
   int node = 0;
   double recover_s = 0.0;
+  bool operator==(const CrashEpisode&) const = default;
 };
 
 /// One partition window: during [from_s, until_s) nodes [0, cut) are split
@@ -39,6 +40,7 @@ struct PartitionWindow {
   double from_s = 0.0;
   double until_s = 0.0;
   int cut = 1;
+  bool operator==(const PartitionWindow&) const = default;
 };
 
 /// The full sampled scenario. Every field is the *scenario* coordinate, not
@@ -108,6 +110,7 @@ struct ChaosSchedule {
 
   // --- observability probes ---
   bool spans = false;  ///< span ledger rides along as a live invariant
+  bool operator==(const ChaosSchedule&) const = default;
 };
 
 /// Scenario-space bounds for the generator. quick() is the CI smoke size;
@@ -142,20 +145,20 @@ ChaosSchedule generate_schedule(std::uint64_t seed,
 /// the shrinker and the determinism tests compare.
 std::string to_json(const ChaosSchedule& schedule);
 
-/// Parses a schedule file. Unknown members are ignored (forward
-/// compatibility); a wrong "format" tag or malformed JSON throws
-/// std::invalid_argument.
+/// Parses a schedule file; an absent member keeps its default. Malformed
+/// JSON, a wrong "format" tag or version, a value of the wrong kind and an
+/// unknown member (e.g. "crashes[0].nod") throw std::invalid_argument.
 ChaosSchedule schedule_from_json(const std::string& text);
 
 /// Lowers the scenario onto an ExperimentSpec (M/S scheduler, guard rails
-/// on). Throws std::invalid_argument when the schedule breaks a
-/// composition rule (autoscale with fault, partitions without fault,
-/// malformed bounds) — the generator never produces such a schedule, but
-/// hand-edited repro files might.
+/// on). Throws std::invalid_argument with validate()'s message when the
+/// schedule is not valid — the generator never produces such a schedule,
+/// but hand-edited repro files might.
 core::ExperimentSpec to_spec(const ChaosSchedule& schedule);
 
-/// Validates the composition rules without building a spec; returns a
-/// human-readable problem description, empty when well-formed.
+/// The schedule's own rules, then the cluster's layer-composition rules
+/// (core::composition_problem) on the spec it lowers to; returns the first
+/// problem as a human-readable message, empty when well-formed.
 std::string validate(const ChaosSchedule& schedule);
 
 }  // namespace wsched::check

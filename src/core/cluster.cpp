@@ -1537,6 +1537,35 @@ class ClusterRun {
 
 }  // namespace
 
+std::string composition_problem(const fault::FaultConfig& fault,
+                                const net::NetworkParams& net,
+                                const ctrl::CtrlConfig& ctrl,
+                                const HedgeConfig& hedge) {
+  if (net.enabled && !net.partitions.empty() && !fault.enabled)
+    return "network partitions require the fault layer (fault.enabled) so "
+           "membership and health can react";
+  if (ctrl.enabled) {
+    if (ctrl.interval_s <= 0.0) return "ctrl interval must be > 0";
+    if (ctrl.autoscale && fault.enabled)
+      return "autoscaling and the fault layer are mutually exclusive (the "
+             "health monitor would declare drained nodes dead and the "
+             "injector would recover them behind the scaler's back)";
+    if (ctrl.retarget_masters && fault.enabled)
+      return "ctrl.retarget_masters and fault.enabled are mutually exclusive "
+             "(under the fault layer, roles follow failover promotions, not "
+             "the control plane)";
+    if (ctrl.retarget_masters && !ctrl.autoscale)
+      return "ctrl.retarget_masters requires ctrl.autoscale (the control "
+             "loop retargets only alongside its power actions)";
+    if (ctrl.autoscale && ctrl.min_powered < 1)
+      return "ctrl min_powered must be >= 1";
+  }
+  if (hedge.enabled && (hedge.delay_s < 0.0 || hedge.min_delay_s < 0.0 ||
+                        hedge.delay_factor <= 0.0))
+    return "invalid hedge config";
+  return "";
+}
+
 ClusterSim::ClusterSim(ClusterConfig config,
                        std::unique_ptr<Dispatcher> dispatcher)
     : config_(std::move(config)), dispatcher_(std::move(dispatcher)) {
@@ -1548,35 +1577,9 @@ ClusterSim::ClusterSim(ClusterConfig config,
     throw std::invalid_argument("cluster: node_params size mismatch");
   if (dispatcher_ == nullptr)
     throw std::invalid_argument("cluster: dispatcher required");
-  if (config_.net.enabled && !config_.net.partitions.empty() &&
-      !config_.fault.enabled)
-    throw std::invalid_argument(
-        "cluster: network partitions require the fault layer "
-        "(fault.enabled) so membership and health can react");
-  if (config_.ctrl.enabled) {
-    if (config_.ctrl.interval_s <= 0.0)
-      throw std::invalid_argument("cluster: ctrl interval must be > 0");
-    if (config_.ctrl.autoscale && config_.fault.enabled)
-      throw std::invalid_argument(
-          "cluster: autoscaling and the fault layer are mutually "
-          "exclusive (the health monitor would declare drained nodes dead "
-          "and the injector would recover them behind the scaler's back)");
-    if (config_.ctrl.retarget_masters && config_.fault.enabled)
-      throw std::invalid_argument(
-          "cluster: ctrl.retarget_masters and fault.enabled are mutually "
-          "exclusive (under the fault layer, roles follow failover "
-          "promotions, not the control plane)");
-    if (config_.ctrl.retarget_masters && !config_.ctrl.autoscale)
-      throw std::invalid_argument(
-          "cluster: ctrl.retarget_masters requires ctrl.autoscale (the "
-          "control loop retargets only alongside its power actions)");
-    if (config_.ctrl.autoscale && config_.ctrl.min_powered < 1)
-      throw std::invalid_argument("cluster: ctrl min_powered must be >= 1");
-  }
-  if (config_.hedge.enabled &&
-      (config_.hedge.delay_s < 0.0 || config_.hedge.min_delay_s < 0.0 ||
-       config_.hedge.delay_factor <= 0.0))
-    throw std::invalid_argument("cluster: invalid hedge config");
+  const std::string problem = composition_problem(
+      config_.fault, config_.net, config_.ctrl, config_.hedge);
+  if (!problem.empty()) throw std::invalid_argument("cluster: " + problem);
 }
 
 RunResult ClusterSim::run(const trace::Trace& trace) {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/load.hpp"
@@ -100,9 +101,8 @@ struct ClusterConfig {
   /// estimation feeding RSRC, slew-limited theta'_2 retuning, hysteretic
   /// autoscaling with drain-and-migrate power-downs. Disabled by default;
   /// a disabled config constructs nothing and keeps the run byte-identical
-  /// to a build without src/ctrl/. Autoscaling and the fault layer are
-  /// mutually exclusive (the health monitor would declare drained nodes
-  /// dead and the injector would double-recover them).
+  /// to a build without src/ctrl/. See composition_problem for the layers
+  /// it excludes.
   ctrl::CtrlConfig ctrl;
   /// Latency-based gray-failure watchdog (see fault::SlowHealthConfig):
   /// flags limping nodes kDegraded from completion-stretch outliers and
@@ -231,6 +231,14 @@ struct RunResult {
   double energy_node_s = 0.0;
   int powered_min = 0;  ///< smallest powered count reached
 };
+
+/// The rules for composing the opt-in layers, in one place: the first
+/// broken rule's message, or "" when the layers compose. ClusterSim throws
+/// "cluster: " + it; check::validate applies it to a lowered schedule.
+std::string composition_problem(const fault::FaultConfig& fault,
+                                const net::NetworkParams& net,
+                                const ctrl::CtrlConfig& ctrl,
+                                const HedgeConfig& hedge);
 
 class ClusterSim {
  public:

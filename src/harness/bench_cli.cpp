@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 
 #include "obs/log.hpp"
@@ -28,10 +29,53 @@ double parse_latency_s(const std::string& flag, std::size_t begin,
   return seconds;
 }
 
+// The flags BenchCli reads, one group per subsystem. A subsystem's request
+// is on when any of its knobs is given (or, for ctrl, slow-health and
+// hedge, when its own switch is true).
+const char* const kGeneralFlags[] = {
+    "jobs", "filter", "out", "list", "quick", "trace", "probe-interval",
+    "probe-out", "decision-log", "spans", "span-out", "exemplars", "log",
+    "ctrl", "slow-health", "hedge"};
+const char* const kOverloadKnobs[] = {
+    "deadline-static", "deadline-dynamic", "shed-policy", "shed-queue",
+    "shed-util", "shed-target", "breakers", "degraded-mode",
+    "overload-retries"};
+const char* const kNetKnobs[] = {
+    "net-loss", "net-latency", "net-partition", "load-report-interval",
+    "stale-fallback", "net-quorum"};
+const char* const kCtrlKnobs[] = {
+    "ctrl-interval", "ctrl-alpha", "ctrl-slew", "ctrl-autoscale", "ctrl-up",
+    "ctrl-down", "ctrl-dwell", "ctrl-min-nodes", "ctrl-masters"};
+const char* const kGrayKnobs[] = {
+    "gray-mttf", "gray-mttr", "gray-cpu", "gray-disk", "gray-stall-period",
+    "gray-stall-len", "gray-stall-factor"};
+const char* const kSlowHealthKnobs[] = {
+    "slow-health-alpha", "slow-health-degrade", "slow-health-recover",
+    "slow-health-min-samples", "slow-health-penalty", "slow-health-exclude",
+    "slow-health-period"};
+const char* const kHedgeKnobs[] = {
+    "hedge-delay", "hedge-factor", "hedge-min-delay", "hedge-static"};
+
+bool any_given(const CliArgs& args, std::span<const char* const> knobs) {
+  return std::ranges::any_of(knobs,
+                             [&](const char* knob) { return args.has(knob); });
+}
+
+/// The bench's own flags plus every shared one.
+std::vector<std::string> with_shared_flags(std::vector<std::string> flags) {
+  const std::span<const char* const> groups[] = {
+      kGeneralFlags, kOverloadKnobs,   kNetKnobs,  kCtrlKnobs,
+      kGrayKnobs,    kSlowHealthKnobs, kHedgeKnobs};
+  for (const auto group : groups)
+    flags.insert(flags.end(), group.begin(), group.end());
+  return flags;
+}
+
 }  // namespace
 
-BenchCli::BenchCli(int argc, const char* const* argv)
-    : args(argc, argv),
+BenchCli::BenchCli(int argc, const char* const* argv,
+                   const std::vector<std::string>& flags)
+    : args(argc, argv, with_shared_flags(flags)),
       out(args.get("out", "")),
       list(args.get_bool("list", false)),
       quick(env_flag("WSCHED_QUICK", false) || args.get_bool("quick", false)) {
@@ -67,12 +111,7 @@ BenchCli::BenchCli(int argc, const char* const* argv)
   overload.saturation.enabled = args.get_bool("degraded-mode", false);
   overload.max_retries = static_cast<int>(
       args.get_int("overload-retries", overload.max_retries));
-  overload_set =
-      args.has("deadline-static") || args.has("deadline-dynamic") ||
-      args.has("shed-policy") || args.has("shed-queue") ||
-      args.has("shed-util") || args.has("shed-target") ||
-      args.has("breakers") || args.has("degraded-mode") ||
-      args.has("overload-retries");
+  overload_set = any_given(args, kOverloadKnobs);
   net.loss = args.get_double("net-loss", net.loss);
   if (args.has("net-latency")) {
     const std::string net_latency = args.get("net-latency", "");
@@ -88,9 +127,7 @@ BenchCli::BenchCli(int argc, const char* const* argv)
       args.get_double("load-report-interval", net.load_report_interval_s);
   net.stale_max_age_s = args.get_double("stale-fallback", net.stale_max_age_s);
   net.quorum = args.get_bool("net-quorum", net.quorum);
-  net.enabled = args.has("net-loss") || args.has("net-latency") ||
-                args.has("net-partition") || args.has("load-report-interval") ||
-                args.has("stale-fallback") || args.has("net-quorum");
+  net.enabled = any_given(args, kNetKnobs);
   ctrl.interval_s = args.get_double("ctrl-interval", ctrl.interval_s);
   ctrl.estimate_alpha = args.get_double("ctrl-alpha", ctrl.estimate_alpha);
   ctrl.theta_slew = args.get_double("ctrl-slew", ctrl.theta_slew);
@@ -103,12 +140,7 @@ BenchCli::BenchCli(int argc, const char* const* argv)
   ctrl.retarget_masters = args.get_bool("ctrl-masters", false);
   // Any tuning flag implies the control plane; a bare `--ctrl false` (or
   // no ctrl flags at all) keeps the subsystem out of the run entirely.
-  ctrl.enabled =
-      args.get_bool("ctrl", false) || args.has("ctrl-interval") ||
-      args.has("ctrl-alpha") || args.has("ctrl-slew") ||
-      args.has("ctrl-autoscale") || args.has("ctrl-up") ||
-      args.has("ctrl-down") || args.has("ctrl-dwell") ||
-      args.has("ctrl-min-nodes") || args.has("ctrl-masters");
+  ctrl.enabled = args.get_bool("ctrl", false) || any_given(args, kCtrlKnobs);
   gray.degrade_mttf_s = args.get_double("gray-mttf", gray.degrade_mttf_s);
   gray.degrade_mttr_s = args.get_double("gray-mttr", gray.degrade_mttr_s);
   gray.degrade_cpu_factor =
@@ -119,10 +151,7 @@ BenchCli::BenchCli(int argc, const char* const* argv)
       args.get_double("gray-stall-period", gray.stall_period_s);
   gray.stall_len_s = args.get_double("gray-stall-len", gray.stall_len_s);
   gray.stall_factor = args.get_double("gray-stall-factor", gray.stall_factor);
-  gray.enabled = args.has("gray-mttf") || args.has("gray-mttr") ||
-                 args.has("gray-cpu") || args.has("gray-disk") ||
-                 args.has("gray-stall-period") || args.has("gray-stall-len") ||
-                 args.has("gray-stall-factor");
+  gray.enabled = any_given(args, kGrayKnobs);
   slow_health.alpha = args.get_double("slow-health-alpha", slow_health.alpha);
   slow_health.degrade_ratio =
       args.get_double("slow-health-degrade", slow_health.degrade_ratio);
@@ -135,19 +164,23 @@ BenchCli::BenchCli(int argc, const char* const* argv)
   slow_health.exclude = args.get_bool("slow-health-exclude", false);
   slow_health.check_period_s =
       args.get_double("slow-health-period", slow_health.check_period_s);
-  slow_health.enabled =
-      args.get_bool("slow-health", false) || args.has("slow-health-alpha") ||
-      args.has("slow-health-degrade") || args.has("slow-health-recover") ||
-      args.has("slow-health-min-samples") ||
-      args.has("slow-health-penalty") || args.has("slow-health-exclude") ||
-      args.has("slow-health-period");
+  slow_health.enabled = args.get_bool("slow-health", false) ||
+                        any_given(args, kSlowHealthKnobs);
   hedge.delay_s = args.get_double("hedge-delay", hedge.delay_s);
   hedge.delay_factor = args.get_double("hedge-factor", hedge.delay_factor);
   hedge.min_delay_s = args.get_double("hedge-min-delay", hedge.min_delay_s);
   hedge.hedge_static = args.get_bool("hedge-static", false);
-  hedge.enabled = args.get_bool("hedge", false) || args.has("hedge-delay") ||
-                  args.has("hedge-factor") || args.has("hedge-min-delay") ||
-                  args.has("hedge-static");
+  hedge.enabled =
+      args.get_bool("hedge", false) || any_given(args, kHedgeKnobs);
+}
+
+BenchCli BenchCli::parse(int argc, const char* const* argv,
+                         const std::vector<std::string>& flags) {
+  try {
+    return BenchCli(argc, argv, flags);
+  } catch (const std::invalid_argument& e) {
+    usage_error(argv[0], e.what());
+  }
 }
 
 namespace {

@@ -109,12 +109,14 @@
 //   --hedge-min-delay S   floor under the adaptive delay
 //   --hedge-static        hedge static (file) requests too
 //
-// Bench-specific flags stay available through `args`.
+// A bench declares the flags of its own that it reads through `args`; any
+// other flag, or any positional argument, is a usage error.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "ctrl/controller.hpp"
@@ -128,7 +130,15 @@
 namespace wsched::harness {
 
 struct BenchCli {
-  BenchCli(int argc, const char* const* argv);
+  /// Parses the shared flags above plus the bench's own `flags`; throws
+  /// std::invalid_argument on a malformed value or an undeclared flag.
+  BenchCli(int argc, const char* const* argv,
+           const std::vector<std::string>& flags = {});
+
+  /// The constructor for a bench's main: a std::invalid_argument is
+  /// reported as a usage_error() ("prog: message", exit status 2).
+  static BenchCli parse(int argc, const char* const* argv,
+                        const std::vector<std::string>& flags = {});
 
   CliArgs args;
   SweepOptions options;

@@ -1,15 +1,21 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace wsched {
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 const std::vector<std::string>& flags,
+                 std::size_t max_positional) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
+      if (positional_.size() == max_positional)
+        throw std::invalid_argument("unexpected argument '" + arg + "'");
       positional_.push_back(std::move(arg));
       continue;
     }
@@ -18,13 +24,17 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     // Only the first '=' separates name and value, so values may themselves
     // contain '=' (e.g. --filter=trace=UCB).
     const auto eq = arg.find('=');
+    if (eq == 0) throw std::invalid_argument("flag with empty name: --" + arg);
+    const std::string name = arg.substr(0, eq);
+    if (std::find(flags.begin(), flags.end(), name) == flags.end())
+      throw std::invalid_argument("unknown flag --" + name);
+    std::vector<std::string>& values = flags_[name];
     if (eq != std::string::npos) {
-      if (eq == 0) throw std::invalid_argument("flag with empty name: --" + arg);
-      flags_[arg.substr(0, eq)].push_back(arg.substr(eq + 1));
+      values.push_back(arg.substr(eq + 1));
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags_[arg].push_back(argv[++i]);
+      values.push_back(argv[++i]);
     } else {
-      flags_[arg].push_back("1");
+      values.push_back("1");
     }
   }
 }
@@ -87,11 +97,11 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   reject(name, v, "1/0, true/false, yes/no or on/off");
 }
 
-std::vector<std::string> CliArgs::flag_names() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [name, value] : flags_) names.push_back(name);
-  return names;
+void usage_error(const char* argv0, const std::string& message) {
+  const std::string path = argv0 != nullptr ? argv0 : "";
+  const std::string prog = path.substr(path.find_last_of('/') + 1);
+  std::fprintf(stderr, "%s: %s\n", prog.c_str(), message.c_str());
+  std::exit(2);
 }
 
 bool env_flag(const char* name, bool fallback) {

@@ -4,13 +4,14 @@
 // boolean. A flag may repeat (--filter a --filter b); scalar getters return
 // the last occurrence, get_all() returns every value in order — this is
 // what lets sweep filters compose. Only the first '=' splits name from
-// value, so --filter=trace=UCB keeps "trace=UCB" intact. Unknown flags
-// raise an error so typos in experiment scripts are caught rather than
-// silently ignored.
+// value, so --filter=trace=UCB keeps "trace=UCB" intact. A program declares
+// the flags it reads and how many positional arguments it takes; any other
+// flag or argument raises an error, so typos in experiment scripts are
+// caught rather than silently ignored.
 #pragma once
 
+#include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,12 @@ namespace wsched {
 
 class CliArgs {
  public:
-  /// Parses argv; throws std::invalid_argument on malformed input.
-  CliArgs(int argc, const char* const* argv);
+  /// Parses argv, accepting only the flags named in `flags` and at most
+  /// `max_positional` positional arguments; throws std::invalid_argument
+  /// on malformed input or naming the first argument it does not accept.
+  CliArgs(int argc, const char* const* argv,
+          const std::vector<std::string>& flags,
+          std::size_t max_positional = 0);
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
@@ -37,13 +42,14 @@ class CliArgs {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names of all flags that were provided.
-  std::vector<std::string> flag_names() const;
-
  private:
   std::map<std::string, std::vector<std::string>> flags_;
   std::vector<std::string> positional_;
 };
+
+/// Reports a command-line usage error: "prog: message" on stderr, where
+/// prog is argv0's file name, then exits with status 2.
+[[noreturn]] void usage_error(const char* argv0, const std::string& message);
 
 /// Reads an environment-variable override used by experiment harnesses,
 /// e.g. WSCHED_QUICK=1 shrinks run sizes for CI. Returns fallback when the

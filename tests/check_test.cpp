@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,6 +23,7 @@
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
 #include "core/experiment.hpp"
+#include "util/time.hpp"
 
 namespace wsched::check {
 namespace {
@@ -54,6 +57,10 @@ TEST(Json, MissingMemberFallsBack) {
 TEST(Json, WrongKindThrows) {
   const JsonValue v = parse_json(R"({"a": "str"})");
   EXPECT_THROW(v.get_number("a", 0.0), std::invalid_argument);
+}
+
+bool starts_with(const std::string& text, const std::string& prefix) {
+  return text.rfind(prefix, 0) == 0;
 }
 
 /// The message `read` (parse_json, schedule_from_json) refuses `json` with
@@ -132,13 +139,15 @@ TEST(Generator, EverySampledScheduleValidates) {
   // The composition rules (autoscale x faults exclusive, partitions only
   // with net + faults, bounds on every knob) must hold by construction
   // for every seed, not just the ones CI happens to run.
-  const ChaosGenConfig cfg = ChaosGenConfig::quick();
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const ChaosSchedule s = generate_schedule(seed, cfg);
-    EXPECT_EQ(validate(s), "") << "seed " << seed;
-    EXPECT_FALSE(s.autoscale && s.fault) << "seed " << seed;
-    if (!s.partitions.empty()) {
-      EXPECT_TRUE(s.net && s.fault) << "seed " << seed;
+  for (const ChaosGenConfig& cfg :
+       {ChaosGenConfig::quick(), ChaosGenConfig::full()}) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      const ChaosSchedule s = generate_schedule(seed, cfg);
+      EXPECT_EQ(validate(s), "") << "seed " << seed;
+      EXPECT_FALSE(s.autoscale && s.fault) << "seed " << seed;
+      if (!s.partitions.empty()) {
+        EXPECT_TRUE(s.net && s.fault) << "seed " << seed;
+      }
     }
   }
 }
@@ -168,6 +177,83 @@ TEST(Schedule, JsonRoundTripIsByteIdentical) {
   }
 }
 
+// Every member of the schedule is one row of the file format's table: a
+// row missing from it, or naming the wrong member, loses a non-default
+// value on the way through the file.
+TEST(Schedule, EveryFieldRoundTrips) {
+  ChaosSchedule s;
+  s.seed = 4242;
+  s.horizon_s = 9.5;
+  s.warmup_s = 1.25;
+  s.p = 12;
+  s.m = 3;
+  s.lambda = 512.5;
+  s.profile = "adl";
+  s.bursty = true;
+  s.diurnal = true;
+  s.diurnal_period_s = 7.5;
+  s.diurnal_amplitude = 0.625;
+  s.flip_at_s = 4.75;
+  s.flip_profile = "dec";
+  s.fault = true;
+  s.crashes = {{2.5, 3, 4.5}, {3.25, 11, 0.0}};
+  s.crash_mttf_s = 20.5;
+  s.crash_mttr_s = 1.5;
+  s.degrade_mttf_s = 8.5;
+  s.degrade_mttr_s = 2.5;
+  s.degrade_cpu_factor = 0.3;
+  s.degrade_disk_factor = 0.7;
+  s.stall_period_s = 1.75;
+  s.stall_len_s = 0.04;
+  s.net = true;
+  s.net_loss = 0.03;
+  s.net_latency_jitter_s = 0.0015;
+  s.net_reorder = 0.1;
+  s.quorum = false;
+  s.stale_max_age_s = 1.5;
+  s.load_report_interval_s = 0.25;
+  s.partitions = {{2.0, 3.5, 2}, {5.0, 6.0, 7}};
+  s.deadline_static_s = 0.75;
+  s.deadline_dynamic_s = 2.25;
+  s.shed_policy = "stretch";
+  s.overload_retries = 3;
+  s.breakers = true;
+  s.degraded_mode = true;
+  s.ctrl = true;
+  s.ctrl_interval_s = 0.75;
+  s.theta_slew = 0.08;
+  s.autoscale = true;
+  s.min_powered = 4;
+  s.retarget_masters = true;
+  s.slow_health = true;
+  s.slow_health_exclude = true;
+  s.hedge = true;
+  s.hedge_delay_s = 0.05;
+  s.spans = true;
+  // Every member line differs from the default schedule's.
+  std::istringstream set(to_json(s)), unset(to_json(ChaosSchedule{}));
+  std::string a, b;
+  for (int line = 0; std::getline(set, a) && std::getline(unset, b); ++line) {
+    if (line >= 3 && a != "}") {
+      EXPECT_NE(a, b);
+    }
+  }
+  const ChaosSchedule back = schedule_from_json(to_json(s));
+  EXPECT_TRUE(back == s) << to_json(back);
+}
+
+TEST(Schedule, CorpusFilesRoundTripByteIdentically) {
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(WSCHED_CHAOS_CORPUS_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string bytes = read_file(entry.path());
+    EXPECT_EQ(to_json(schedule_from_json(bytes)), bytes) << entry.path();
+    ++files;
+  }
+  EXPECT_GE(files, 5) << "corpus went missing";
+}
+
 TEST(Schedule, FromJsonRejectsWrongFormat) {
   EXPECT_THROW(schedule_from_json(R"({"format": "other", "version": 1})"),
                std::invalid_argument);
@@ -193,12 +279,20 @@ TEST(Schedule, ValidateCatchesIllegalCompositions) {
 
   ChaosSchedule alone;  // retargeting runs only inside the autoscale plan
   alone.retarget_masters = alone.ctrl = true;
-  EXPECT_EQ(validate(alone).rfind("retarget_masters requires autoscale", 0), 0u)
+  EXPECT_EQ(validate(alone).rfind(
+                "ctrl.retarget_masters requires ctrl.autoscale", 0),
+            0u)
       << validate(alone);
 
   ChaosSchedule part;
   part.partitions.push_back({1.0, 2.0, 2});
   EXPECT_NE(validate(part), "");  // partitions need net + fault
+
+  // ctrl's sub-fields reach the run only with ctrl on: autoscaling over the
+  // fault layer stays refused when ctrl is off too.
+  ChaosSchedule inert;
+  inert.autoscale = inert.fault = true;
+  EXPECT_NE(validate(inert), "");
 
   ChaosSchedule lam;
   lam.lambda = 0.0;
@@ -218,6 +312,107 @@ std::string with_number(std::string json, const std::string& field,
   const std::size_t from = at + key.size();
   json.replace(from, json.find_first_of(",}", from) - from, value);
   return json;
+}
+
+// A typo in a hand-edited repro used to run the default silently; the
+// reader now refuses a member it does not know, naming it.
+TEST(Schedule, UnknownMembersAreRefused) {
+  const std::string corpus = read_corpus("seed-15.json");
+  ASSERT_FALSE(corpus.empty());
+  std::string typo = corpus;
+  typo.insert(typo.find("\"net_loss\""), "\"net_los\": 0.1, ");
+  EXPECT_EQ(refusal(schedule_from_json, typo),
+            "chaos schedule: unknown member 'net_los'");
+  std::string entry = corpus;
+  entry.insert(entry.find("\"node\""), "\"nod\": 4, ");
+  EXPECT_EQ(refusal(schedule_from_json, entry),
+            "chaos schedule: unknown member 'crashes[0].nod'");
+}
+
+// The layer-composition rules have one home, core::composition_problem:
+// ClusterSim refuses a spec that breaks one with "cluster: " + the message,
+// and validate() refuses the schedule that lowers to it with the same
+// message. A zero ctrl interval and a negative hedge delay used to pass
+// validate() and be refused only by the cluster at run time.
+TEST(Schedule, CompositionRulesMatchTheCluster) {
+  struct Case {
+    const char* rule;
+    std::function<void(ChaosSchedule&)> schedule;
+    std::function<void(core::ExperimentSpec&)> spec;
+  };
+  const Case cases[] = {
+      {"network partitions require the fault layer",
+       [](ChaosSchedule& s) {
+         s.net = true;
+         s.partitions.push_back({1.0, 2.0, 2});
+       },
+       [](core::ExperimentSpec& spec) {
+         spec.net.enabled = true;
+         spec.net.partitions.push_back(
+             {from_seconds(1.0), from_seconds(2.0), {{0, 1}, {2, 3}}});
+       }},
+      {"ctrl interval must be > 0",
+       [](ChaosSchedule& s) {
+         s.ctrl = true;
+         s.ctrl_interval_s = 0.0;
+       },
+       [](core::ExperimentSpec& spec) {
+         spec.ctrl.enabled = true;
+         spec.ctrl.interval_s = 0.0;
+       }},
+      {"autoscaling and the fault layer are mutually exclusive",
+       [](ChaosSchedule& s) { s.ctrl = s.autoscale = s.fault = true; },
+       [](core::ExperimentSpec& spec) {
+         spec.ctrl.enabled = spec.ctrl.autoscale = spec.fault.enabled = true;
+       }},
+      {"ctrl.retarget_masters and fault.enabled are mutually exclusive",
+       [](ChaosSchedule& s) { s.ctrl = s.retarget_masters = s.fault = true; },
+       [](core::ExperimentSpec& spec) {
+         spec.ctrl.enabled = spec.ctrl.retarget_masters = true;
+         spec.fault.enabled = true;
+       }},
+      {"ctrl.retarget_masters requires ctrl.autoscale",
+       [](ChaosSchedule& s) { s.ctrl = s.retarget_masters = true; },
+       [](core::ExperimentSpec& spec) {
+         spec.ctrl.enabled = spec.ctrl.retarget_masters = true;
+       }},
+      {"ctrl min_powered must be >= 1",
+       [](ChaosSchedule& s) {
+         s.ctrl = s.autoscale = true;
+         s.min_powered = 0;
+       },
+       [](core::ExperimentSpec& spec) {
+         spec.ctrl.enabled = spec.ctrl.autoscale = true;
+         spec.ctrl.min_powered = 0;
+       }},
+      {"invalid hedge config",
+       [](ChaosSchedule& s) {
+         s.hedge = true;
+         s.hedge_delay_s = -1.0;
+       },
+       [](core::ExperimentSpec& spec) {
+         spec.hedge.enabled = true;
+         spec.hedge.delay_s = -1.0;
+       }},
+  };
+  const core::ExperimentSpec base = to_spec(ChaosSchedule{});
+  for (const Case& c : cases) {
+    core::ExperimentSpec spec = base;
+    c.spec(spec);
+    std::string cluster;
+    try {
+      core::run_experiment(spec);
+    } catch (const std::invalid_argument& e) {
+      cluster = e.what();
+    }
+    EXPECT_TRUE(starts_with(cluster, std::string("cluster: ") + c.rule))
+        << c.rule << ": '" << cluster << "'";
+    ChaosSchedule s;
+    c.schedule(s);
+    EXPECT_EQ("cluster: " + validate(s), cluster) << c.rule;
+    const ChaosOutcome outcome = run_schedule(s);
+    EXPECT_EQ(outcome.error, "chaos schedule: " + validate(s)) << c.rule;
+  }
 }
 
 // A JSON 1e999 parses as infinity. A schedule carrying one in its rate or
@@ -278,10 +473,6 @@ TEST(Schedule, NonFiniteEventTimesAreRejected) {
   deadline.deadline_dynamic_s = -inf;
   EXPECT_EQ(validate(deadline), "deadline_dynamic_s must be finite");
   EXPECT_THROW(to_spec(jitter), std::invalid_argument);
-}
-
-bool starts_with(const std::string& text, const std::string& prefix) {
-  return text.rfind(prefix, 0) == 0;
 }
 
 // Integer fields used to be cast from the JSON double unchecked: "p": 8.5

@@ -277,7 +277,7 @@ TEST(Cli, FlagsAndPositional) {
   // (--beta 7); a trailing bare flag is boolean.
   const char* argv[] = {"prog", "--alpha=3", "--beta", "7",
                         "input.txt", "--verbose"};
-  CliArgs args(6, argv);
+  CliArgs args(6, argv, {"alpha", "beta", "verbose"}, 1);
   EXPECT_EQ(args.get_int("alpha", 0), 3);
   EXPECT_EQ(args.get_int("beta", 0), 7);
   EXPECT_TRUE(args.get_bool("verbose", false));
@@ -287,7 +287,7 @@ TEST(Cli, FlagsAndPositional) {
 
 TEST(Cli, Defaults) {
   const char* argv[] = {"prog"};
-  CliArgs args(1, argv);
+  CliArgs args(1, argv, {});
   EXPECT_EQ(args.get("missing", "fallback"), "fallback");
   EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
   EXPECT_FALSE(args.has("missing"));
@@ -295,7 +295,7 @@ TEST(Cli, Defaults) {
 
 TEST(Cli, BoolValues) {
   const char* argv[] = {"prog", "--on=true", "--off=0"};
-  CliArgs args(3, argv);
+  CliArgs args(3, argv, {"on", "off"});
   EXPECT_TRUE(args.get_bool("on", false));
   EXPECT_FALSE(args.get_bool("off", true));
 }
@@ -314,7 +314,7 @@ std::string cli_error(Read read) {
 TEST(Cli, NumbersMustConsumeTheWholeValue) {
   const char* argv[] = {"prog", "--p", "1e3", "--jobs=2x", "--seed", "12abc",
                         "--lambda", "3.5x", "--mu", "1e3", "--n=-4"};
-  CliArgs args(11, argv);
+  CliArgs args(11, argv, {"p", "jobs", "seed", "lambda", "mu", "n"});
   EXPECT_EQ(cli_error([&] { args.get_int("p", 32); }),
             "--p expects an integer, got '1e3'");
   EXPECT_EQ(cli_error([&] { args.get_int("jobs", 0); }),
@@ -330,7 +330,7 @@ TEST(Cli, NumbersMustConsumeTheWholeValue) {
 TEST(Cli, EmptyOrOutOfRangeNumbersThrow) {
   const char* argv[] = {"prog", "--a=", "--b=99999999999999999999",
                         "--c=1e999"};
-  CliArgs args(4, argv);
+  CliArgs args(4, argv, {"a", "b", "c"});
   EXPECT_THROW(args.get_int("a", 0), std::invalid_argument);
   EXPECT_THROW(args.get_double("a", 0.0), std::invalid_argument);
   EXPECT_THROW(args.get_int("b", 0), std::invalid_argument);
@@ -340,7 +340,7 @@ TEST(Cli, EmptyOrOutOfRangeNumbersThrow) {
 TEST(Cli, BoolAcceptsOnlyKnownWords) {
   const char* argv[] = {"prog", "--a=yes", "--b=no", "--c=on", "--d=off",
                         "--e=false", "--hedge=ture"};
-  CliArgs args(7, argv);
+  CliArgs args(7, argv, {"a", "b", "c", "d", "e", "hedge"});
   EXPECT_TRUE(args.get_bool("a", false));
   EXPECT_FALSE(args.get_bool("b", true));
   EXPECT_TRUE(args.get_bool("c", false));
@@ -353,7 +353,7 @@ TEST(Cli, BoolAcceptsOnlyKnownWords) {
 TEST(Cli, RepeatedFlagsAccumulate) {
   const char* argv[] = {"prog", "--filter", "trace=UCB", "--filter=p=32",
                         "--filter", "lambda=1000"};
-  CliArgs args(6, argv);
+  CliArgs args(6, argv, {"filter"});
   const auto all = args.get_all("filter");
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], "trace=UCB");
@@ -365,7 +365,7 @@ TEST(Cli, RepeatedFlagsAccumulate) {
 
 TEST(Cli, RepeatedScalarLastWins) {
   const char* argv[] = {"prog", "--jobs", "2", "--jobs=8"};
-  CliArgs args(4, argv);
+  CliArgs args(4, argv, {"jobs"});
   EXPECT_EQ(args.get_int("jobs", 0), 8);
   EXPECT_EQ(args.get_all("jobs").size(), 2u);
 }
@@ -373,40 +373,55 @@ TEST(Cli, RepeatedScalarLastWins) {
 TEST(Cli, EqualsInsideValuePreserved) {
   // Only the first '=' splits: the value itself may contain '='.
   const char* argv[] = {"prog", "--filter=scheduler=M/S"};
-  CliArgs args(2, argv);
+  CliArgs args(2, argv, {"filter"});
   EXPECT_EQ(args.get("filter", ""), "scheduler=M/S");
 }
 
 TEST(Cli, EmptyValueAfterEquals) {
   const char* argv[] = {"prog", "--out="};
-  CliArgs args(2, argv);
+  CliArgs args(2, argv, {"out"});
   EXPECT_TRUE(args.has("out"));
   EXPECT_EQ(args.get("out", "fallback"), "");
 }
 
 TEST(Cli, EmptyFlagNameThrows) {
   const char* argv[] = {"prog", "--=value"};
-  EXPECT_THROW(CliArgs(2, argv), std::invalid_argument);
+  EXPECT_THROW(CliArgs(2, argv, {""}), std::invalid_argument);
 }
 
 TEST(Cli, GetAllAbsentIsEmpty) {
   const char* argv[] = {"prog"};
-  CliArgs args(1, argv);
+  CliArgs args(1, argv, {"filter"});
   EXPECT_TRUE(args.get_all("filter").empty());
 }
 
 TEST(Cli, BareDoubleDashThrows) {
   const char* argv[] = {"prog", "--"};
-  EXPECT_THROW(CliArgs(2, argv), std::invalid_argument);
+  EXPECT_THROW(CliArgs(2, argv, {""}), std::invalid_argument);
 }
 
-TEST(Cli, FlagNamesEnumerated) {
-  const char* argv[] = {"prog", "--b=2", "--a=1"};
-  CliArgs args(3, argv);
-  const auto names = args.flag_names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "a");  // map order: sorted
-  EXPECT_EQ(names[1], "b");
+// A typo in a script used to run the defaults silently: a flag the program
+// did not declare, or a positional argument it does not take, is refused by
+// name (the binaries turn this into "prog: message" and exit status 2).
+TEST(Cli, UndeclaredFlagIsRefused) {
+  const char* argv[] = {"prog", "--lambda=3", "--bogus-flag", "1"};
+  EXPECT_EQ(cli_error([&] { CliArgs(4, argv, {"lambda"}); }),
+            "unknown flag --bogus-flag");
+  const char* typo[] = {"prog", "--lamda=3"};
+  EXPECT_EQ(cli_error([&] { CliArgs(2, typo, {"lambda"}); }),
+            "unknown flag --lamda");
+}
+
+TEST(Cli, StrayPositionalIsRefused) {
+  const char* argv[] = {"prog", "--chaos-replay", "seed-15.json",
+                        "stray.json"};
+  EXPECT_EQ(cli_error([&] { CliArgs(4, argv, {"chaos-replay"}); }),
+            "unexpected argument 'stray.json'");
+  // A program that takes one positional argument refuses the second.
+  const char* two[] = {"prog", "a.json", "b.json"};
+  EXPECT_EQ(CliArgs(2, two, {}, 1).positional().size(), 1u);
+  EXPECT_EQ(cli_error([&] { CliArgs(3, two, {}, 1); }),
+            "unexpected argument 'b.json'");
 }
 
 TEST(EnvFlag, ParsesAndFallsBack) {
