@@ -96,8 +96,10 @@ int replay_files(const std::vector<std::string>& files) {
 
 int main(int argc, char** argv) {
   const auto cli = harness::BenchCli::parse(
-      argc, argv, {"chaos-seeds", "chaos-start", "chaos-horizon", "chaos-out",
-                   "chaos-replay", "chaos-dump", "chaos-shrink-attempts"});
+      argc, argv,
+      {"chaos-seeds", "chaos-start", "chaos-horizon", "chaos-out",
+       "chaos-replay", "chaos-shrink-attempts"},
+      {"chaos-dump"});
 
   const std::vector<std::string> replays = cli.args.get_all("chaos-replay");
   if (!replays.empty()) return replay_files(replays);

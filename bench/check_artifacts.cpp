@@ -25,10 +25,8 @@ int main(int argc, char** argv) {
   ArtifactRequirements req;
   std::vector<std::pair<std::string, char>> artifacts;  // path, kind
   try {
-    const CliArgs args(argc, argv,
-                       {"probes", "require-phase", "net", "ctrl", "spans",
-                        "hedges", "exemplars"},
-                       1);
+    const CliArgs args(argc, argv, {"probes", "require-phase", "exemplars"},
+                       1, {"net", "ctrl", "spans", "hedges"});
     req = {args.get_all("require-phase"), args.get_bool("net", false),
            args.get_bool("ctrl", false), args.get_bool("spans", false),
            args.get_bool("hedges", false)};

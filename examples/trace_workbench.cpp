@@ -79,8 +79,10 @@ void print_trace_report(const trace::Trace& t) {
 
 int main(int argc, char** argv) {
   const auto cli = harness::BenchCli::parse(
-      argc, argv, {"load", "profile", "lambda", "duration", "inv-r", "mu_h",
-                   "seed", "bursty", "save"});
+      argc, argv,
+      {"load", "profile", "lambda", "duration", "inv-r", "mu_h", "seed",
+       "save"},
+      {"bursty"});
 
   if (cli.args.has("load")) {
     const std::string path = cli.args.get("load", "");

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "harness/artifacts.hpp"
 #include "model/optimize.hpp"
 
 namespace wsched::core {
@@ -216,13 +218,21 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   }
   // Observability: materialize the file-backed collectors spec.obs asks
   // for (skipping any the caller attached directly via spec.observer).
+  // Their files open here, before the run, so an unwritable path fails
+  // before any work; the trace, probe and decision sinks stream into them
+  // as the run goes. The files are declared before the sinks so they
+  // outlive them, and an ArtifactFile that is not closed removes itself:
+  // a run that throws leaves no truncated artifact behind.
   obs::Observability obs = spec.observer;
+  std::optional<harness::ArtifactFile> trace_file, probe_file, decision_file,
+      span_file;
   std::unique_ptr<obs::ChromeTraceSink> trace_sink;
   std::unique_ptr<obs::ProbeRecorder> probe_recorder;
   std::unique_ptr<obs::DecisionLog> decision_log;
   std::unique_ptr<obs::CounterRegistry> counter_registry;
   if (!spec.obs.trace_path.empty() && obs.trace == nullptr) {
-    trace_sink = std::make_unique<obs::ChromeTraceSink>();
+    trace_file.emplace(spec.obs.trace_path, "trace file");
+    trace_sink = std::make_unique<obs::ChromeTraceSink>(trace_file->stream());
     obs.trace = trace_sink.get();
     if (obs.counters == nullptr) {
       // A file-backed trace carries the counter totals too (as final 'C'
@@ -232,12 +242,14 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     }
   }
   if (spec.obs.probe_interval_s > 0.0 && obs.probes == nullptr) {
+    probe_file.emplace(derive_probe_path(spec.obs), "probe file");
     probe_recorder = std::make_unique<obs::ProbeRecorder>(
-        from_seconds(spec.obs.probe_interval_s));
+        from_seconds(spec.obs.probe_interval_s), probe_file->stream());
     obs.probes = probe_recorder.get();
   }
   if (!spec.obs.decision_log_path.empty() && obs.decisions == nullptr) {
-    decision_log = std::make_unique<obs::DecisionLog>();
+    decision_file.emplace(spec.obs.decision_log_path, "decision log");
+    decision_log = std::make_unique<obs::DecisionLog>(decision_file->stream());
     obs.decisions = decision_log.get();
   }
   std::unique_ptr<obs::SpanRecorder> span_recorder;
@@ -245,6 +257,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     span_recorder = std::make_unique<obs::SpanRecorder>(
         spec.obs.span_path.empty() ? 0 : spec.obs.exemplars);
     obs.spans = span_recorder.get();
+    // The exemplar file is only written for a harness-materialized
+    // recorder; a caller-attached one is the caller's to dump.
+    if (!spec.obs.span_path.empty())
+      span_file.emplace(spec.obs.span_path, "span output");
   }
   config.obs = obs;
   config.max_events = spec.max_events;
@@ -258,8 +274,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   result.m_used = config.m;
   result.k_used = k;
 
-  // Counter totals ride the trace as final 'C' samples. The snapshot must
-  // outlive write_file: the sink stores the name pointers, not copies.
+  // Counter totals ride the trace as final 'C' samples. The sink keeps
+  // the name pointers, not copies, until finish() formats them, so the
+  // snapshot must outlive finish().
   const auto counter_totals =
       counter_registry != nullptr
           ? counter_registry->snapshot()
@@ -269,19 +286,21 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     for (const auto& [name, value] : counter_totals)
       trace_sink->counter(obs::Category::kProbe, name.c_str(), spec.p, end,
                           static_cast<double>(value));
-    trace_sink->write_file(spec.obs.trace_path);
+    trace_sink->finish();
+    trace_file->close();
   }
-  if (probe_recorder != nullptr)
-    probe_recorder->write_csv_file(derive_probe_path(spec.obs));
-  if (decision_log != nullptr)
-    decision_log->write_csv_file(spec.obs.decision_log_path);
-  if (obs.spans != nullptr) {
-    result.spans = obs.spans->summarize();
-    // The exemplar file is only written for a harness-materialized
-    // recorder; a caller-attached one is the caller's to dump.
-    if (span_recorder != nullptr && !spec.obs.span_path.empty())
-      span_recorder->write_exemplars_file(spec.obs.span_path,
-                                          spec.obs.exemplars);
+  if (probe_recorder != nullptr) {
+    probe_recorder->finish();
+    probe_file->close();
+  }
+  if (decision_log != nullptr) {
+    decision_log->finish();
+    decision_file->close();
+  }
+  if (obs.spans != nullptr) result.spans = obs.spans->summarize();
+  if (span_file) {
+    span_recorder->write_exemplars(span_file->stream(), spec.obs.exemplars);
+    span_file->close();
   }
   return result;
 }

@@ -1,10 +1,12 @@
 #include "harness/artifacts.hpp"
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace wsched::harness {
 
@@ -79,13 +81,33 @@ void ChunkedWriter::flush() {
   buf_.clear();
 }
 
+ArtifactFile::ArtifactFile(std::string path, std::string what)
+    : path_(std::move(path)), what_(std::move(what)),
+      out_(path_, std::ios::binary) {
+  if (!out_) throw std::runtime_error("cannot open " + what_ + " " + path_);
+}
+
+ArtifactFile::~ArtifactFile() {
+  if (closed_) return;
+  out_.close();
+  // Only a regular file is ours to remove: a path such as /dev/full is not.
+  std::error_code ec;
+  if (std::filesystem::is_regular_file(path_, ec))
+    std::filesystem::remove(path_, ec);
+}
+
+void ArtifactFile::close() {
+  out_.close();
+  if (!out_)
+    throw std::runtime_error("failed writing " + what_ + " " + path_);
+  closed_ = true;
+}
+
 void write_artifact_file(const std::string& path, const std::string& what,
                          const std::function<void(std::ostream&)>& write) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + what + " " + path);
-  write(out);
-  out.close();
-  if (!out) throw std::runtime_error("failed writing " + what + " " + path);
+  ArtifactFile file(path, what);
+  write(file.stream());
+  file.close();
 }
 
 std::string format_number(double value) {

@@ -19,6 +19,7 @@
 
 #include <charconv>
 #include <cstddef>
+#include <fstream>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -78,9 +79,31 @@ class ChunkedWriter {
   std::string buf_;
 };
 
-/// Writes an artifact file: opens `path`, runs `write`, flushes, and throws
-/// std::runtime_error naming `what` if the open or any write failed (a
-/// full disk must not leave a silently truncated file).
+/// An artifact file open for writing. The constructor throws
+/// std::runtime_error "cannot open <what> <path>"; close() flushes and
+/// throws "failed writing <what> <path>" if any write failed. A file that
+/// was not closed cleanly (a write failed, or an exception unwound past
+/// it) is removed on destruction when it is a regular file, so no
+/// truncated artifact is left behind.
+class ArtifactFile {
+ public:
+  ArtifactFile(std::string path, std::string what);
+  ~ArtifactFile();
+  ArtifactFile(const ArtifactFile&) = delete;
+  ArtifactFile& operator=(const ArtifactFile&) = delete;
+
+  std::ostream& stream() { return out_; }
+  void close();
+
+ private:
+  std::string path_;
+  std::string what_;
+  std::ofstream out_;
+  bool closed_ = false;
+};
+
+/// Writes an artifact file: opens `path` as an ArtifactFile, runs `write`
+/// and closes it, with ArtifactFile's errors.
 void write_artifact_file(const std::string& path, const std::string& what,
                          const std::function<void(std::ostream&)>& write);
 

@@ -56,6 +56,12 @@ const char* const kSlowHealthKnobs[] = {
 const char* const kHedgeKnobs[] = {
     "hedge-delay", "hedge-factor", "hedge-min-delay", "hedge-static"};
 
+// The shared flags that are switches: each never takes the next token.
+const char* const kSharedSwitches[] = {
+    "list", "quick", "spans", "ctrl", "slow-health", "hedge", "breakers",
+    "degraded-mode", "net-quorum", "ctrl-autoscale", "ctrl-masters",
+    "slow-health-exclude", "hedge-static"};
+
 bool any_given(const CliArgs& args, std::span<const char* const> knobs) {
   return std::ranges::any_of(knobs,
                              [&](const char* knob) { return args.has(knob); });
@@ -71,11 +77,21 @@ std::vector<std::string> with_shared_flags(std::vector<std::string> flags) {
   return flags;
 }
 
+/// The bench's own switches plus the shared ones.
+std::vector<std::string> with_shared_switches(
+    std::vector<std::string> switches) {
+  switches.insert(switches.end(), std::begin(kSharedSwitches),
+                  std::end(kSharedSwitches));
+  return switches;
+}
+
 }  // namespace
 
 BenchCli::BenchCli(int argc, const char* const* argv,
-                   const std::vector<std::string>& flags)
-    : args(argc, argv, with_shared_flags(flags)),
+                   const std::vector<std::string>& flags,
+                   const std::vector<std::string>& switches)
+    : args(argc, argv, with_shared_flags(flags), 0,
+           with_shared_switches(switches)),
       out(args.get("out", "")),
       list(args.get_bool("list", false)),
       quick(env_flag("WSCHED_QUICK", false) || args.get_bool("quick", false)) {
@@ -175,9 +191,12 @@ BenchCli::BenchCli(int argc, const char* const* argv,
 }
 
 BenchCli BenchCli::parse(int argc, const char* const* argv,
-                         const std::vector<std::string>& flags) {
+                         const std::vector<std::string>& flags,
+                         const std::vector<std::string>& switches) {
   try {
-    return BenchCli(argc, argv, flags);
+    BenchCli cli(argc, argv, flags, switches);
+    cli.args.exit_on_bad_value(argv[0]);
+    return cli;
   } catch (const std::invalid_argument& e) {
     usage_error(argv[0], e.what());
   }

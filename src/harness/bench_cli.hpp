@@ -109,8 +109,10 @@
 //   --hedge-min-delay S   floor under the adaptive delay
 //   --hedge-static        hedge static (file) requests too
 //
-// A bench declares the flags of its own that it reads through `args`; any
-// other flag, or any positional argument, is a usage error.
+// A bench declares the flags of its own that it reads through `args`, and
+// which of them are switches (booleans that never take the next token);
+// any other flag, or any positional argument, is a usage error, and so is
+// a malformed value a bench reads through `args` after parse().
 #pragma once
 
 #include <cstddef>
@@ -130,15 +132,19 @@
 namespace wsched::harness {
 
 struct BenchCli {
-  /// Parses the shared flags above plus the bench's own `flags`; throws
-  /// std::invalid_argument on a malformed value or an undeclared flag.
+  /// Parses the shared flags above plus the bench's own `flags` and
+  /// `switches`; throws std::invalid_argument on a malformed value or an
+  /// undeclared flag.
   BenchCli(int argc, const char* const* argv,
-           const std::vector<std::string>& flags = {});
+           const std::vector<std::string>& flags = {},
+           const std::vector<std::string>& switches = {});
 
   /// The constructor for a bench's main: a std::invalid_argument is
-  /// reported as a usage_error() ("prog: message", exit status 2).
+  /// reported as a usage_error() ("prog: message", exit status 2), and so
+  /// is a malformed value the bench later reads through `args`.
   static BenchCli parse(int argc, const char* const* argv,
-                        const std::vector<std::string>& flags = {});
+                        const std::vector<std::string>& flags = {},
+                        const std::vector<std::string>& switches = {});
 
   CliArgs args;
   SweepOptions options;

@@ -1,5 +1,6 @@
 #include "obs/decision_log.hpp"
 
+#include <memory>
 #include <ostream>
 
 #include "harness/artifacts.hpp"
@@ -21,20 +22,39 @@ void append_candidates(std::string& out, const ScoredCandidate* cands,
 
 }  // namespace
 
+DecisionLog::DecisionLog() = default;
+
+DecisionLog::DecisionLog(std::ostream& out)
+    : stream_(std::make_unique<harness::ChunkedWriter>(out)) {}
+
+DecisionLog::~DecisionLog() = default;
+
+void DecisionLog::record(DecisionRecord rec, const ScoredCandidate* cands,
+                         std::size_t count) {
+  rec.seq = size();
+  rec.cand_begin = static_cast<std::uint32_t>(pool_.size());
+  rec.cand_count = static_cast<std::uint32_t>(count);
+  pool_.insert(pool_.end(), cands, cands + count);
+  records_.push_back(rec);
+  if (stream_ != nullptr &&
+      buffered_bytes() >= harness::ChunkedWriter::kChunk)
+    spill();
+}
+
 std::string DecisionLog::candidates_of(const DecisionRecord& rec) const {
   std::string joined;
   append_candidates(joined, candidates_begin(rec), rec.cand_count);
   return joined;
 }
 
-void DecisionLog::write_csv(std::ostream& out) const {
+void DecisionLog::format(harness::ChunkedWriter& writer) const {
   if (records_.empty()) return;
-  harness::ChunkedWriter writer(out);
   std::string& buf = writer.buf();
-  buf += gray_ ? "seq,t_s,class,receiver,chosen,remote,w,reason,stale_s,"
-                 "w_hat,theta_eff,slow_penalty,hedged,candidates\n"
-               : "seq,t_s,class,receiver,chosen,remote,w,reason,stale_s,"
-                 "w_hat,theta_eff,candidates\n";
+  if (spilled_ == 0)
+    buf += gray_ ? "seq,t_s,class,receiver,chosen,remote,w,reason,stale_s,"
+                   "w_hat,theta_eff,slow_penalty,hedged,candidates\n"
+                 : "seq,t_s,class,receiver,chosen,remote,w,reason,stale_s,"
+                   "w_hat,theta_eff,candidates\n";
   const auto number = [&buf](double value) {
     harness::append_number(buf, value);
     buf += ',';
@@ -64,6 +84,23 @@ void DecisionLog::write_csv(std::ostream& out) const {
     buf += '\n';
     writer.poll();
   }
+}
+
+void DecisionLog::write_csv(std::ostream& out) const {
+  harness::ChunkedWriter writer(out);
+  format(writer);
+}
+
+void DecisionLog::spill() {
+  format(*stream_);
+  spilled_ += records_.size();
+  records_.clear();
+  pool_.clear();
+}
+
+void DecisionLog::finish() {
+  spill();
+  stream_->flush();
 }
 
 void DecisionLog::write_csv_file(const std::string& path) const {

@@ -11,10 +11,15 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "util/time.hpp"
+
+namespace wsched::harness {
+class ChunkedWriter;
+}  // namespace wsched::harness
 
 namespace wsched::obs {
 
@@ -59,27 +64,26 @@ struct DecisionRecord {
   std::uint32_t cand_count = 0;
 };
 
+/// Without a stream the log keeps every record for write_csv(). With one
+/// it streams: once its buffered records and candidates hold
+/// ChunkedWriter::kChunk bytes it formats them into the stream and drops
+/// them, and finish() writes the rest.
 class DecisionLog {
  public:
+  DecisionLog();
+  explicit DecisionLog(std::ostream& out);
+  ~DecisionLog();
+
   /// Appends one record with no scored candidate set.
-  void record(DecisionRecord record) {
-    record.seq = records_.size();
-    record.cand_begin = static_cast<std::uint32_t>(pool_.size());
-    record.cand_count = 0;
-    records_.push_back(record);
-  }
+  void record(DecisionRecord rec) { record(rec, nullptr, 0); }
 
   /// Appends one record plus its scored candidates (copied into the flat
   /// pool — no per-record allocation or formatting).
-  void record(DecisionRecord record, const ScoredCandidate* cands,
-              std::size_t count) {
-    record.seq = records_.size();
-    record.cand_begin = static_cast<std::uint32_t>(pool_.size());
-    record.cand_count = static_cast<std::uint32_t>(count);
-    pool_.insert(pool_.end(), cands, cands + count);
-    records_.push_back(record);
-  }
+  void record(DecisionRecord rec, const ScoredCandidate* cands,
+              std::size_t count);
 
+  /// The records still held in memory: every record of a log without a
+  /// stream, the ones not yet streamed otherwise.
   const std::vector<DecisionRecord>& records() const { return records_; }
   /// The record's scored candidates, as a (begin, count) span in the pool.
   const ScoredCandidate* candidates_begin(const DecisionRecord& rec) const {
@@ -89,30 +93,44 @@ class DecisionLog {
   /// with scores as %.4f (the CSV serialization; empty when the set is
   /// empty).
   std::string candidates_of(const DecisionRecord& rec) const;
-  std::size_t size() const { return records_.size(); }
-  void clear() {
-    records_.clear();
-    pool_.clear();
+  /// Every record appended, streamed or not.
+  std::size_t size() const { return spilled_ + records_.size(); }
+  /// Memory held by the records not yet streamed; a streaming log keeps it
+  /// below ChunkedWriter::kChunk between records.
+  std::size_t buffered_bytes() const {
+    return records_.size() * sizeof(DecisionRecord) +
+           pool_.size() * sizeof(ScoredCandidate);
   }
 
   /// Opts in to the slow_penalty / hedged columns (between theta_eff and
   /// candidates). The cluster calls this when slow health or hedging is
-  /// on; legacy runs keep the exact legacy header.
+  /// on, before any record; legacy runs keep the exact legacy header.
   void enable_gray_columns() { gray_ = true; }
   bool gray_columns() const { return gray_; }
 
-  /// Canonical CSV (via the harness formatter): one row per record with
-  /// columns seq, t_s, class, receiver, chosen, remote, w, reason,
-  /// stale_s, w_hat, theta_eff, [slow_penalty, hedged,] candidates. An
-  /// empty log writes nothing, not even the header.
+  /// Canonical CSV (via the harness formatter) of a log without a stream:
+  /// one row per record with columns seq, t_s, class, receiver, chosen,
+  /// remote, w, reason, stale_s, w_hat, theta_eff, [slow_penalty, hedged,]
+  /// candidates. An empty log writes nothing, not even the header.
   void write_csv(std::ostream& out) const;
   /// Throws std::runtime_error if the file cannot be opened or written.
   void write_csv_file(const std::string& path) const;
+  /// A streaming log's end of run: writes the records still buffered and
+  /// flushes. Record nothing after it.
+  void finish();
 
  private:
+  /// The one formatting loop: the buffered records, preceded by the
+  /// header when they are the log's first.
+  void format(harness::ChunkedWriter& writer) const;
+  /// Formats the buffered records into stream_ and drops them.
+  void spill();
+
   std::vector<DecisionRecord> records_;
   std::vector<ScoredCandidate> pool_;
   bool gray_ = false;
+  std::unique_ptr<harness::ChunkedWriter> stream_;  ///< null: keep all
+  std::size_t spilled_ = 0;  ///< records already formatted into stream_
 };
 
 }  // namespace wsched::obs

@@ -1,6 +1,7 @@
 #include "obs/probes.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "harness/artifacts.hpp"
@@ -11,6 +12,13 @@ ProbeRecorder::ProbeRecorder(Time interval) : interval_(interval) {
   if (interval <= 0)
     throw std::invalid_argument("probes: interval must be positive");
 }
+
+ProbeRecorder::ProbeRecorder(Time interval, std::ostream& out)
+    : ProbeRecorder(interval) {
+  stream_ = std::make_unique<harness::ChunkedWriter>(out);
+}
+
+ProbeRecorder::~ProbeRecorder() = default;
 
 void ProbeRecorder::sample(Time now, const std::vector<NodeProbe>& nodes,
                            const ClusterProbe& cluster) {
@@ -73,13 +81,15 @@ void ProbeRecorder::sample(Time now, const std::vector<NodeProbe>& nodes,
 
   last_at_ = now;
   ++rounds_;
+  if (stream_ != nullptr &&
+      buffered_bytes() >= harness::ChunkedWriter::kChunk)
+    spill();
 }
 
-void ProbeRecorder::write_csv(std::ostream& out) const {
+void ProbeRecorder::format(harness::ChunkedWriter& writer) const {
   if (samples_.empty()) return;
-  harness::ChunkedWriter writer(out);
   std::string& buf = writer.buf();
-  buf += "t_s,node,metric,value\n";
+  if (spilled_ == 0) buf += "t_s,node,metric,value\n";
   for (const ProbeSample& sample : samples_) {
     harness::append_number(buf, to_seconds(sample.at));
     buf += ',';
@@ -91,6 +101,22 @@ void ProbeRecorder::write_csv(std::ostream& out) const {
     buf += '\n';
     writer.poll();
   }
+}
+
+void ProbeRecorder::write_csv(std::ostream& out) const {
+  harness::ChunkedWriter writer(out);
+  format(writer);
+}
+
+void ProbeRecorder::spill() {
+  format(*stream_);
+  spilled_ += samples_.size();
+  samples_.clear();
+}
+
+void ProbeRecorder::finish() {
+  spill();
+  stream_->flush();
 }
 
 void ProbeRecorder::write_csv_file(const std::string& path) const {

@@ -12,10 +12,15 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "util/time.hpp"
+
+namespace wsched::harness {
+class ChunkedWriter;
+}  // namespace wsched::harness
 
 namespace wsched::obs {
 
@@ -62,10 +67,16 @@ struct ProbeSample {
   double value = 0.0;
 };
 
+/// Without a stream the recorder keeps every sample for write_csv(). With
+/// one it streams: once a round leaves ChunkedWriter::kChunk bytes of
+/// samples buffered it formats them into the stream and drops them, and
+/// finish() writes the rest.
 class ProbeRecorder {
  public:
   /// `interval` must be positive; the cluster samples at t = k * interval.
   explicit ProbeRecorder(Time interval);
+  ProbeRecorder(Time interval, std::ostream& out);
+  ~ProbeRecorder();
 
   Time interval() const { return interval_; }
 
@@ -76,22 +87,41 @@ class ProbeRecorder {
   void sample(Time now, const std::vector<NodeProbe>& nodes,
               const ClusterProbe& cluster);
 
+  /// The samples still held in memory: every sample of a recorder without
+  /// a stream, the ones not yet streamed otherwise.
   const std::vector<ProbeSample>& samples() const { return samples_; }
   std::size_t rounds() const { return rounds_; }
+  /// Memory held by the samples not yet streamed; a streaming recorder
+  /// keeps it below ChunkedWriter::kChunk between rounds.
+  std::size_t buffered_bytes() const {
+    return samples_.size() * sizeof(ProbeSample);
+  }
 
-  /// Canonical long-format CSV: t_s, node, metric, value. A recorder with
-  /// no samples writes nothing, not even the header.
+  /// Canonical long-format CSV of a recorder without a stream: t_s, node,
+  /// metric, value. A recorder with no samples writes nothing, not even
+  /// the header.
   void write_csv(std::ostream& out) const;
   /// Throws std::runtime_error if the file cannot be opened or written.
   void write_csv_file(const std::string& path) const;
+  /// A streaming recorder's end of run: writes the samples still buffered
+  /// and flushes. Sample nothing after it.
+  void finish();
 
  private:
+  /// The one formatting loop: the buffered samples, preceded by the header
+  /// when they are the recorder's first.
+  void format(harness::ChunkedWriter& writer) const;
+  /// Formats the buffered samples into stream_ and drops them.
+  void spill();
+
   Time interval_;
   std::size_t rounds_ = 0;
   Time last_at_ = 0;
   std::vector<Time> last_cpu_busy_;
   std::vector<Time> last_disk_busy_;
   std::vector<ProbeSample> samples_;
+  std::unique_ptr<harness::ChunkedWriter> stream_;  ///< null: keep all
+  std::size_t spilled_ = 0;  ///< samples already formatted into stream_
 };
 
 }  // namespace wsched::obs

@@ -26,21 +26,22 @@ const char* to_string(Category category) {
   return "?";
 }
 
+ChromeTraceSink::ChromeTraceSink() = default;
+
+ChromeTraceSink::ChromeTraceSink(std::ostream& out)
+    : stream_(std::make_unique<harness::ChunkedWriter>(out)) {}
+
+ChromeTraceSink::~ChromeTraceSink() = default;
+
 std::uint32_t ChromeTraceSink::intern(const char* data, std::size_t len) {
   const auto off = static_cast<std::uint32_t>(chars_.size());
   chars_.append(data, len);
   return off;
 }
 
-ChromeTraceSink::Event& ChromeTraceSink::push(Category category, char phase,
-                                              const char* name, int pid,
-                                              int tid, Time ts,
-                                              const TraceArgs& args) {
-  ++per_category_[static_cast<std::size_t>(category)];
-  if (name != nullptr) {
-    recent_names_[recent_next_ % kRecent] = name;
-    ++recent_next_;
-  }
+ChromeTraceSink::Event ChromeTraceSink::make(Category category, char phase,
+                                             const char* name, int pid,
+                                             int tid, Time ts) {
   Event event;
   event.category = category;
   event.phase = phase;
@@ -48,6 +49,10 @@ ChromeTraceSink::Event& ChromeTraceSink::push(Category category, char phase,
   event.pid = pid;
   event.tid = tid;
   event.ts = ts;
+  return event;
+}
+
+void ChromeTraceSink::push(Event event, const TraceArgs& args) {
   event.arg_begin = static_cast<std::uint32_t>(args_.size());
   event.arg_count = static_cast<std::uint32_t>(args.size());
   for (const TraceArg& arg : args) {
@@ -61,67 +66,91 @@ ChromeTraceSink::Event& ChromeTraceSink::push(Category category, char phase,
     }
     args_.push_back(packed);
   }
+  commit(event);
+}
+
+void ChromeTraceSink::push(Event event, const Arg& arg) {
+  event.arg_begin = static_cast<std::uint32_t>(args_.size());
+  event.arg_count = 1;
+  args_.push_back(arg);
+  commit(event);
+}
+
+void ChromeTraceSink::commit(const Event& event) {
+  ++per_category_[static_cast<std::size_t>(event.category)];
+  if (event.name != nullptr) {
+    recent_names_[recent_next_ % kRecent] = event.name;
+    ++recent_next_;
+  }
   events_.push_back(event);
-  return events_.back();
+  if (stream_ != nullptr && buffered_bytes() >= harness::ChunkedWriter::kChunk)
+    spill();
+}
+
+void ChromeTraceSink::spill() {
+  format(*stream_);
+  spilled_ += events_.size();
+  events_.clear();
+  args_.clear();
+  chars_.clear();
 }
 
 void ChromeTraceSink::span(Category category, const char* name, int pid,
                            int tid, Time start, Time dur, TraceArgs args) {
-  push(category, 'X', name, pid, tid, start, args).dur = dur;
+  Event event = make(category, 'X', name, pid, tid, start);
+  event.dur = dur;
+  push(event, args);
 }
 
 void ChromeTraceSink::instant(Category category, const char* name, int pid,
                               int tid, Time t, TraceArgs args) {
-  push(category, 'i', name, pid, tid, t, args);
+  push(make(category, 'i', name, pid, tid, t), args);
 }
 
 void ChromeTraceSink::counter(Category category, const char* name, int pid,
                               Time t, double value) {
-  Event& event = push(category, 'C', name, pid, 0, t, {});
-  event.arg_begin = static_cast<std::uint32_t>(args_.size());
-  event.arg_count = 1;
   Arg packed;
   packed.key = "value";
   packed.num = value;
-  args_.push_back(packed);
+  push(make(category, 'C', name, pid, 0, t), packed);
 }
 
 void ChromeTraceSink::async_begin(Category category, const char* name,
                                   int pid, std::uint64_t id, Time t,
                                   TraceArgs args) {
-  push(category, 'b', name, pid, 0, t, args).id = id;
+  Event event = make(category, 'b', name, pid, 0, t);
+  event.id = id;
+  push(event, args);
 }
 
 void ChromeTraceSink::async_end(Category category, const char* name, int pid,
                                 std::uint64_t id, Time t, TraceArgs args) {
-  push(category, 'e', name, pid, 0, t, args).id = id;
+  Event event = make(category, 'e', name, pid, 0, t);
+  event.id = id;
+  push(event, args);
 }
 
 void ChromeTraceSink::flow(Category category, char phase, const char* name,
                            int pid, int tid, Time t, std::uint64_t id) {
-  push(category, phase, name, pid, tid, t, {}).id = id;
+  Event event = make(category, phase, name, pid, tid, t);
+  event.id = id;
+  push(event, TraceArgs{});
 }
 
 void ChromeTraceSink::name_process(int pid, const std::string& name) {
-  Event& event = push(Category::kLog, 'M', "process_name", pid, 0, 0, {});
-  event.arg_begin = static_cast<std::uint32_t>(args_.size());
-  event.arg_count = 1;
   Arg packed;
   packed.key = "name";
   packed.text_off = intern(name.data(), name.size());
   packed.text_len = static_cast<std::uint32_t>(name.size());
-  args_.push_back(packed);
+  push(make(Category::kLog, 'M', "process_name", pid, 0, 0), packed);
 }
 
 void ChromeTraceSink::name_thread(int pid, int tid, const std::string& name) {
-  Event& event = push(Category::kLog, 'M', "thread_name", pid, tid, 0, {});
-  event.arg_begin = static_cast<std::uint32_t>(args_.size());
-  event.arg_count = 1;
   Arg packed;
   packed.key = "name";
   packed.text_off = intern(name.data(), name.size());
   packed.text_len = static_cast<std::uint32_t>(name.size());
-  args_.push_back(packed);
+  push(make(Category::kLog, 'M', "thread_name", pid, tid, 0), packed);
 }
 
 std::string ChromeTraceSink::recent_summary() const {
@@ -158,11 +187,10 @@ void append_us(std::string& out, Time t) {
 
 }  // namespace
 
-void ChromeTraceSink::write(std::ostream& out) const {
-  harness::ChunkedWriter writer(out);
+void ChromeTraceSink::format(harness::ChunkedWriter& writer) const {
   std::string& buf = writer.buf();
-  buf += "{\"traceEvents\":[\n";
-  bool first = true;
+  if (spilled_ == 0) buf += "{\"traceEvents\":[\n";
+  bool first = spilled_ == 0;
   for (const Event& event : events_) {
     if (!first) buf += ",\n";
     first = false;
@@ -216,7 +244,18 @@ void ChromeTraceSink::write(std::ostream& out) const {
     buf += '}';
     writer.poll();
   }
-  buf += "\n]}\n";
+}
+
+void ChromeTraceSink::write(std::ostream& out) const {
+  harness::ChunkedWriter writer(out);
+  format(writer);
+  writer.buf() += "\n]}\n";
+}
+
+void ChromeTraceSink::finish() {
+  spill();
+  stream_->buf() += "\n]}\n";
+  stream_->flush();
 }
 
 std::string ChromeTraceSink::str() const {

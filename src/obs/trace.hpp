@@ -4,9 +4,10 @@
 // dispatch decisions, faults) and counter samples (theta'_2, queue
 // depths), each tagged with a category, a pid (one per simulated node,
 // plus a cluster-level pseudo-pid) and a tid (one lane per subsystem
-// within a node). The concrete ChromeTraceSink buffers events and writes
-// Chrome trace_event JSON ({"traceEvents": [...]}), loadable in Perfetto
-// or chrome://tracing.
+// within a node). The concrete ChromeTraceSink writes Chrome trace_event
+// JSON ({"traceEvents": [...]}), loadable in Perfetto or chrome://tracing:
+// given a stream, it writes the events as the run goes; without one, it
+// keeps them for write().
 //
 // Overhead contract: instrumentation sites hold a TraceSink pointer that
 // is null when tracing is off, so a disabled run pays exactly one
@@ -16,10 +17,15 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "util/time.hpp"
+
+namespace wsched::harness {
+class ChunkedWriter;
+}  // namespace wsched::harness
 
 namespace wsched::obs {
 
@@ -118,10 +124,15 @@ class TraceSink {
   virtual std::string recent_summary() const = 0;
 };
 
-/// Buffers events in memory and serializes Chrome trace_event JSON.
+/// Serializes Chrome trace_event JSON. Without a stream it keeps every
+/// event for write(). With one it streams: once its buffered events hold
+/// ChunkedWriter::kChunk bytes it formats them into the stream and drops
+/// them, and finish() writes the rest and the closing bracket.
 class ChromeTraceSink final : public TraceSink {
  public:
-  ChromeTraceSink() = default;
+  ChromeTraceSink();
+  explicit ChromeTraceSink(std::ostream& out);
+  ~ChromeTraceSink() override;
 
   void span(Category category, const char* name, int pid, int tid,
             Time start, Time dur, TraceArgs args = {}) override;
@@ -139,16 +150,26 @@ class ChromeTraceSink final : public TraceSink {
   void name_thread(int pid, int tid, const std::string& name) override;
   std::string recent_summary() const override;
 
-  std::size_t event_count() const { return events_.size(); }
+  /// Every event recorded, streamed or not.
+  std::size_t event_count() const { return spilled_ + events_.size(); }
   std::uint64_t category_count(Category category) const {
     return per_category_[static_cast<std::size_t>(category)];
   }
+  /// Memory held by the events not yet streamed; a streaming sink keeps
+  /// it below ChunkedWriter::kChunk between events.
+  std::size_t buffered_bytes() const {
+    return events_.size() * sizeof(Event) + args_.size() * sizeof(Arg) +
+           chars_.size();
+  }
 
-  /// Serializes the buffered trace as {"traceEvents": [...]}.
+  /// Serializes a sink without a stream as {"traceEvents": [...]}.
   void write(std::ostream& out) const;
   std::string str() const;
   /// Convenience: writes to `path`, throwing std::runtime_error on failure.
   void write_file(const std::string& path) const;
+  /// A streaming sink's end of run: writes the events still buffered and
+  /// the closing bracket, then flushes. Record nothing after it.
+  void finish();
 
  private:
   // Flat append-buffer storage: one POD record per event, its arguments
@@ -176,13 +197,25 @@ class ChromeTraceSink final : public TraceSink {
     std::uint32_t text_len = 0;
   };
 
-  Event& push(Category category, char phase, const char* name, int pid,
-              int tid, Time ts, const TraceArgs& args);
+  static Event make(Category category, char phase, const char* name, int pid,
+                    int tid, Time ts);
+  /// Appends `event` with `args` (or the one packed `arg`), then streams
+  /// the buffer once it holds a chunk.
+  void push(Event event, const TraceArgs& args);
+  void push(Event event, const Arg& arg);
+  void commit(const Event& event);
+  /// Formats the buffered events into stream_ and drops them.
+  void spill();
   std::uint32_t intern(const char* data, std::size_t len);
+  /// The one formatting loop: the buffered events, preceded by the header
+  /// when nothing was streamed yet.
+  void format(harness::ChunkedWriter& writer) const;
 
   std::vector<Event> events_;
   std::vector<Arg> args_;
   std::string chars_;
+  std::unique_ptr<harness::ChunkedWriter> stream_;  ///< null: keep all
+  std::size_t spilled_ = 0;  ///< events already formatted into stream_
   std::uint64_t per_category_[kCategoryCount] = {};
   // Ring of the most recent event names for recent_summary().
   static constexpr std::size_t kRecent = 8;

@@ -10,7 +10,12 @@ namespace wsched {
 
 CliArgs::CliArgs(int argc, const char* const* argv,
                  const std::vector<std::string>& flags,
-                 std::size_t max_positional) {
+                 std::size_t max_positional,
+                 const std::vector<std::string>& switches) {
+  const auto declared = [](const std::vector<std::string>& names,
+                           const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -26,12 +31,14 @@ CliArgs::CliArgs(int argc, const char* const* argv,
     const auto eq = arg.find('=');
     if (eq == 0) throw std::invalid_argument("flag with empty name: --" + arg);
     const std::string name = arg.substr(0, eq);
-    if (std::find(flags.begin(), flags.end(), name) == flags.end())
+    const bool is_switch = declared(switches, name);
+    if (!is_switch && !declared(flags, name))
       throw std::invalid_argument("unknown flag --" + name);
     std::vector<std::string>& values = flags_[name];
     if (eq != std::string::npos) {
       values.push_back(arg.substr(eq + 1));
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    } else if (!is_switch && i + 1 < argc &&
+               std::string(argv[i + 1]).rfind("--", 0) != 0) {
       values.push_back(argv[++i]);
     } else {
       values.push_back("1");
@@ -54,15 +61,13 @@ std::vector<std::string> CliArgs::get_all(const std::string& name) const {
   return it == flags_.end() ? std::vector<std::string>{} : it->second;
 }
 
-namespace {
-
-[[noreturn]] void reject(const std::string& name, const std::string& value,
-                         const char* expected) {
-  throw std::invalid_argument("--" + name + " expects " + expected +
-                              ", got '" + value + "'");
+void CliArgs::reject(const std::string& name, const std::string& value,
+                     const char* expected) const {
+  const std::string message =
+      "--" + name + " expects " + expected + ", got '" + value + "'";
+  if (argv0_ != nullptr) usage_error(argv0_, message);
+  throw std::invalid_argument(message);
 }
-
-}  // namespace
 
 long long CliArgs::get_int(const std::string& name, long long fallback) const {
   const auto it = flags_.find(name);

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
 #include <new>
 #include <random>
 #include <set>
@@ -23,6 +25,7 @@
 #include "check/json.hpp"
 #include "core/experiment.hpp"
 #include "core/metric_table.hpp"
+#include "harness/artifacts.hpp"
 #include "harness/sweep.hpp"
 #include "obs/counters.hpp"
 #include "obs/decision_log.hpp"
@@ -484,6 +487,166 @@ TEST(ObsFiles, RunExperimentWritesRequestedArtifacts) {
   std::remove(trace_path.c_str());
   std::remove(probes_path.c_str());
   std::remove(decisions_path.c_str());
+}
+
+// --- streaming sinks: file-backed runs write as they go ---
+
+/// The benchmark's observed workload (KSU, p = 32, lambda = 1000) cut to
+/// 10 s, with probes every 10 ms: each sink records several chunks.
+constexpr double kStreamProbeS = 0.01;
+
+core::ExperimentSpec streaming_spec() {
+  core::ExperimentSpec spec;
+  spec.profile = trace::ksu_profile();
+  spec.p = 32;
+  spec.lambda = 1000.0;
+  spec.duration_s = 10.0;
+  spec.seed = 1;
+  return spec;
+}
+
+/// Replays the spec's own records and calls `watch` before each one is
+/// handed to the cluster, so a test can look at the sinks mid-run.
+class WatchedReplay final : public trace::RecordSource {
+ public:
+  WatchedReplay(const core::ExperimentSpec& spec, std::function<void()> watch)
+      : stream_(spec), watch_(std::move(watch)) {}
+  bool next(trace::TraceRecord& out) override {
+    watch_();
+    return stream_.next(out);
+  }
+  std::size_t size_hint() const override { return stream_.size_hint(); }
+
+ private:
+  core::ReplayStream stream_;
+  std::function<void()> watch_;
+};
+
+TEST(ObsStreaming, FileBackedRunWritesTheCallerAttachedBytes) {
+  const core::ExperimentSpec spec = streaming_spec();
+
+  // Caller-attached sinks keep every record; run_experiment's own trace
+  // also ends with the counter totals as 'C' samples.
+  obs::ChromeTraceSink trace;
+  obs::CounterRegistry counters;
+  obs::ProbeRecorder probes(from_seconds(kStreamProbeS));
+  obs::DecisionLog decisions;
+  core::ExperimentSpec attached = spec;
+  attached.observer = {&trace, &counters, &decisions, &probes};
+  const core::ExperimentResult result = core::run_experiment(attached);
+  const auto totals = counters.snapshot();
+  for (const auto& [name, value] : totals)
+    trace.counter(obs::Category::kProbe, name.c_str(), spec.p,
+                  from_seconds(result.run.sim_seconds),
+                  static_cast<double>(value));
+  // Several chunks each, so the file-backed run spills more than once.
+  constexpr std::size_t kChunk = harness::ChunkedWriter::kChunk;
+  EXPECT_GT(trace.buffered_bytes(), 3 * kChunk);
+  EXPECT_GT(probes.buffered_bytes(), 3 * kChunk);
+  EXPECT_GT(decisions.buffered_bytes(), 2 * kChunk);
+  std::ostringstream probes_csv, decisions_csv;
+  probes.write_csv(probes_csv);
+  decisions.write_csv(decisions_csv);
+
+  core::ExperimentSpec backed = spec;
+  backed.obs.trace_path = "obs_stream_trace.json";
+  backed.obs.probe_interval_s = kStreamProbeS;
+  backed.obs.probe_path = "obs_stream_probes.csv";
+  backed.obs.decision_log_path = "obs_stream_decisions.csv";
+  core::run_experiment(backed);
+  // EXPECT_TRUE, not EXPECT_EQ: a failure must not print megabytes.
+  EXPECT_TRUE(check::read_file(backed.obs.trace_path) == trace.str());
+  EXPECT_TRUE(check::read_file(backed.obs.probe_path) == probes_csv.str());
+  EXPECT_TRUE(check::read_file(backed.obs.decision_log_path) ==
+              decisions_csv.str());
+  std::remove(backed.obs.trace_path.c_str());
+  std::remove(backed.obs.probe_path.c_str());
+  std::remove(backed.obs.decision_log_path.c_str());
+}
+
+TEST(ObsStreaming, SinksWithAStreamHoldLessThanAChunk) {
+  const core::ExperimentSpec spec = streaming_spec();
+  std::ostringstream trace_out, probes_out, decisions_out;
+  obs::ChromeTraceSink trace(trace_out);
+  obs::ProbeRecorder probes(from_seconds(kStreamProbeS), probes_out);
+  obs::DecisionLog decisions(decisions_out);
+  core::ExperimentSpec s = spec;
+  s.observer = {&trace, nullptr, &decisions, &probes};
+
+  constexpr std::size_t kChunk = harness::ChunkedWriter::kChunk;
+  std::size_t max_trace = 0, max_probes = 0, max_decisions = 0;
+  std::streamoff trace_bytes = 0, probe_bytes = 0, decision_bytes = 0;
+  WatchedReplay source(s, [&] {
+    max_trace = std::max(max_trace, trace.buffered_bytes());
+    max_probes = std::max(max_probes, probes.buffered_bytes());
+    max_decisions = std::max(max_decisions, decisions.buffered_bytes());
+    trace_bytes = trace_out.tellp();
+    probe_bytes = probes_out.tellp();
+    decision_bytes = decisions_out.tellp();
+  });
+  core::run_experiment(s, source);
+
+  // The last watch came before the run drained: bytes were already out.
+  EXPECT_GT(trace_bytes, 0);
+  EXPECT_GT(probe_bytes, 0);
+  EXPECT_GT(decision_bytes, 0);
+  EXPECT_LT(max_trace, kChunk);
+  EXPECT_LT(max_probes, kChunk);
+  EXPECT_LT(max_decisions, kChunk);
+  // The counts still cover every record, streamed or not: after finish()
+  // the log has one line per record below its header, and the trace
+  // checker counts every event.
+  trace.finish();
+  probes.finish();
+  decisions.finish();
+  const std::string log = decisions_out.str();
+  EXPECT_EQ(decisions.size() + 1,
+            static_cast<std::size_t>(std::count(log.begin(), log.end(), '\n')));
+  const check::ArtifactCheck checked = check::check_trace(trace_out.str());
+  ASSERT_TRUE(checked.ok()) << checked.violation;
+  EXPECT_EQ(checked.events, trace.event_count());
+  EXPECT_TRUE(check::check_probes(probes_out.str()).ok());
+}
+
+TEST(ObsStreaming, GuardedRunLeavesNoPartialFiles) {
+  core::ExperimentSpec spec = streaming_spec();
+  // A traced run takes at least the events of an untraced one.
+  spec.max_events = core::run_experiment(spec).run.events / 2;
+  spec.obs.trace_path = "obs_guard_trace.json";
+  spec.obs.probe_interval_s = kStreamProbeS;
+  spec.obs.probe_path = "obs_guard_probes.csv";
+  spec.obs.decision_log_path = "obs_guard_decisions.csv";
+  spec.obs.span_path = "obs_guard_spans.json";
+  const std::vector<std::string> paths = {
+      spec.obs.trace_path, spec.obs.probe_path, spec.obs.decision_log_path,
+      spec.obs.span_path};
+  std::uintmax_t partial_trace = 0;
+  WatchedReplay source(spec, [&] {
+    std::error_code ec;
+    const std::uintmax_t size =
+        std::filesystem::file_size(spec.obs.trace_path, ec);
+    if (!ec) partial_trace = size;
+  });
+  EXPECT_THROW(core::run_experiment(spec, source), sim::EngineGuardError);
+  EXPECT_GT(partial_trace, 0u);  // the trace was streaming when it stopped
+  for (const std::string& path : paths)
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+}
+
+TEST(ObsStreaming, FileBackedRunToFullDiskThrows) {
+  // Each streaming sink alone, aimed at /dev/full: the run must throw
+  // rather than return as if its artifact were written.
+  for (int which = 0; which < 3; ++which) {
+    core::ExperimentSpec spec = obs_spec();
+    if (which == 0) spec.obs.trace_path = "/dev/full";
+    if (which == 1) {
+      spec.obs.probe_interval_s = 0.1;
+      spec.obs.probe_path = "/dev/full";
+    }
+    if (which == 2) spec.obs.decision_log_path = "/dev/full";
+    EXPECT_THROW(core::run_experiment(spec), std::runtime_error) << which;
+  }
+  EXPECT_TRUE(std::filesystem::exists("/dev/full"));  // never removed
 }
 
 // --- engine runaway guard ---

@@ -424,6 +424,46 @@ TEST(Cli, StrayPositionalIsRefused) {
             "unexpected argument 'b.json'");
 }
 
+// A switch is a boolean that never takes the next token as its value:
+// `check_artifacts --spans trace.json` used to read trace.json as the
+// switch's value and refuse it.
+TEST(Cli, SwitchNeverTakesTheNextToken) {
+  const char* argv[] = {"prog", "--spans", "trace.json", "--net=0", "--ctrl",
+                        "--probes", "p.csv", "--hedges"};
+  CliArgs args(8, argv, {"probes"}, 1, {"spans", "net", "ctrl", "hedges"});
+  ASSERT_EQ(args.positional().size(), 1u);
+  EXPECT_EQ(args.positional()[0], "trace.json");
+  EXPECT_TRUE(args.get_bool("spans", false));
+  EXPECT_FALSE(args.get_bool("net", true));  // --name=value still works
+  EXPECT_TRUE(args.get_bool("ctrl", false));
+  EXPECT_EQ(args.get("probes", ""), "p.csv");
+  EXPECT_TRUE(args.get_bool("hedges", false));
+  // A value written apart from its switch is a positional argument.
+  const char* apart[] = {"prog", "--spans", "0"};
+  EXPECT_EQ(cli_error([&] { CliArgs(3, apart, {}, 0, {"spans"}); }),
+            "unexpected argument '0'");
+  // A switch is declared by being named: it needs no entry in `flags`.
+  const char* bogus[] = {"prog", "--spans", "--verbose"};
+  EXPECT_EQ(cli_error([&] { CliArgs(3, bogus, {}, 0, {"spans"}); }),
+            "unknown flag --verbose");
+}
+
+// After exit_on_bad_value() a malformed value is the program's usage
+// error ("prog: message", exit 2), not an exception that aborts main.
+TEST(Cli, ExitOnBadValueReportsUsageError) {
+  const char* argv[] = {"bin/fig3_analytic", "--p", "1e3", "--lambda=2x",
+                        "--quick=maybe", "--mu=5"};
+  CliArgs args(6, argv, {"p", "lambda", "quick", "mu"});
+  args.exit_on_bad_value(argv[0]);
+  EXPECT_EXIT(args.get_int("p", 32), ::testing::ExitedWithCode(2),
+              "^fig3_analytic: --p expects an integer, got '1e3'\n$");
+  EXPECT_EXIT(args.get_double("lambda", 1.0), ::testing::ExitedWithCode(2),
+              "fig3_analytic: --lambda expects a number, got '2x'");
+  EXPECT_EXIT(args.get_bool("quick", false), ::testing::ExitedWithCode(2),
+              "fig3_analytic: --quick expects 1/0");
+  EXPECT_DOUBLE_EQ(args.get_double("mu", 0.0), 5.0);
+}
+
 TEST(EnvFlag, ParsesAndFallsBack) {
   ::setenv("WSCHED_TEST_FLAG", "yes", 1);
   EXPECT_TRUE(env_flag("WSCHED_TEST_FLAG", false));
